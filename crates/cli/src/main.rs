@@ -23,6 +23,7 @@ use nqpv_core::{Session, VcOptions};
 use nqpv_engine::{run_batch, BatchOptions, Corpus, DiskCache};
 use nqpv_lang::parse_source;
 use nqpv_service::{serve_blocking, Client, Event, Request, RetryPolicy, ServeOptions};
+use nqpv_telemetry::json_string;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -52,7 +53,7 @@ fn main() -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  nqpv verify [--infer] FILE.nqpv\n  nqpv explain [--infer] [--json] [--trace DIR] [--profile-out FILE]\n              [--kernel-threads N] [--no-screen] FILE.nqpv\n  nqpv show [--infer] FILE.nqpv NAME\n  nqpv check FILE.nqpv\n  nqpv batch [--infer] [--jobs N] [--json] [--no-cache] [--cache-cap N]\n             [--cache-dir DIR] [--cache-max-bytes N] [--no-bin]\n             [--explain] [--trace DIR] [--flight-dir DIR]\n             [--job-timeout SECS] [--kernel-threads N] [--no-screen]\n             [--profile-out FILE] DIR|MANIFEST\n  nqpv serve --addr HOST:PORT [--infer] [--jobs N] [--no-cache]\n             [--cache-cap N] [--cache-dir DIR] [--cache-max-bytes N]\n             [--max-queue N] [--max-per-client N] [--job-timeout SECS]\n             [--drain-timeout SECS] [--explain] [--metrics-addr HOST:PORT]\n             [--flight-dir DIR] [--log-level LVL] [--log-json]\n             [--kernel-threads N] [--no-screen] [--sample-secs N]\n             [--slo-ms N] [--trace-store N]\n  nqpv client ADDR submit [--priority N] [--trace-out DIR] PATH…\n                                                 submit + stream verdicts\n  nqpv client ADDR watch                         stream every job event\n  nqpv client ADDR stats|ping|series|profile\n  nqpv client ADDR shutdown [--drain]\n  nqpv top ADDR [--once] [--interval SECS]   live terminal dashboard\n  nqpv ops\n\n  --infer        attempt wlp-fixpoint invariant inference for\n                 while loops lacking an inv: annotation\n  --jobs N       worker threads (default: available cores)\n  --kernel-threads N\n                 data-parallel threads *inside* each job's linalg\n                 kernels (default: 1, or NQPV_KERNEL_THREADS); results\n                 are bitwise identical for every value\n  --no-screen    disable the f32 Löwner screening tier (ablation;\n                 verdicts are identical either way, only slower)\n  --json         print the report as JSON instead of a summary\n  --no-cache     disable the shared wp memo cache\n  --cache-cap N  bound each cache tier to N entries (LRU eviction;\n                 eviction counts appear in the report)\n  --cache-dir D  persist solver verdicts under D (survives restarts,\n                 shared between batch runs and the daemon)\n  --cache-max-bytes N\n                 size budget for the verdict store under --cache-dir:\n                 oldest records are evicted to stay under N bytes\n  --no-bin       disable verdict-cache affinity scheduling\n  --explain      extract a counterexample (witness state, scheduler\n                 trace, expectation trajectory) for every rejected proof\n  --trace DIR    write one Chrome trace-event JSON per job under DIR\n                 (open in chrome://tracing or Perfetto)\n  --trace-out DIR\n                 (client submit) mint a wire trace id, propagate it to\n                 the daemon, and write one *stitched* Chrome trace per\n                 job under DIR combining the client's submit/wait spans\n                 with the daemon's queue/worker spans\n  --flight-dir DIR\n                 write flight-recorder snapshots (recent span/log\n                 events as JSON) under DIR on panics, timeouts and\n                 error verdicts — and on 'dump_flight' requests\n  --log-level LVL\n                 daemon stderr log threshold: error|warn|info|debug\n                 (default info)\n  --log-json     emit daemon logs as JSON lines instead of plain text\n  --job-timeout SECS\n                 per-job verification deadline: a job still unverified\n                 after SECS is stopped cooperatively and reported with\n                 a 'timeout' verdict\n  --max-queue N  refuse submissions once N jobs are queued (daemon\n                 backpressure; structured 'overloaded' reply)\n  --max-per-client N\n                 bound one connection's queued+running jobs to N\n                 (client-scoped 'overloaded' reply)\n  --drain-timeout SECS\n                 bound on 'shutdown --drain' backlog completion\n                 (default 30)\n  --metrics-addr HOST:PORT\n                 serve Prometheus text metrics at http://HOST:PORT/metrics\n                 (plus /healthz readiness and /series ring dump)\n  --sample-secs N\n                 metrics time-series sampling interval for the in-daemon\n                 ring (default 5)\n  --slo-ms N     per-job latency objective: track jobs within/over N ms\n                 and an error-budget burn-rate gauge (99% objective)\n  --trace-store N\n                 finished-trace FIFO capacity for wire-trace stitching\n                 (default 256; evictions are counted)\n  --profile-out FILE\n                 write a collapsed-stack self-time profile (folded\n                 flamegraph text: 'stack;frames count-in-us' lines)\n  --once         (top) render one dashboard frame and exit\n  --interval SECS\n                 (top) seconds between dashboard refreshes (default 2)\n  --priority N   scheduling priority for submitted jobs (higher first)\n  --drain        (client shutdown) finish the whole backlog before the\n                 daemon stops, instead of dropping queued jobs\n\nenvironment:\n  NQPV_FAULTS=<seed>:<site>[*<cap>],…\n                 arm the deterministic fault-injection harness (sites:\n                 worker_panic, solver_delay, disk_read, disk_write,\n                 conn_drop); inert when unset\n  NQPV_KERNEL_THREADS=N\n                 default kernel thread count when --kernel-threads\n                 is not given"
+        "usage:\n  nqpv verify [--infer] FILE.nqpv\n  nqpv explain [--infer] [--json] [--trace DIR] [--profile-out FILE]\n              [--kernel-threads N] FILE.nqpv\n  nqpv show [--infer] FILE.nqpv NAME\n  nqpv check FILE.nqpv\n  nqpv batch [--infer] [--jobs N] [--json] [--no-cache] [--cache-cap N]\n             [--cache-dir DIR] [--cache-max-bytes N] [--no-bin]\n             [--explain] [--trace DIR] [--flight-dir DIR]\n             [--job-timeout SECS] [--kernel-threads N]\n             [--profile-out FILE] DIR|MANIFEST\n  nqpv serve --addr HOST:PORT [--infer] [--jobs N] [--no-cache]\n             [--cache-cap N] [--cache-dir DIR] [--cache-max-bytes N]\n             [--max-queue N] [--max-per-client N] [--job-timeout SECS]\n             [--drain-timeout SECS] [--explain] [--metrics-addr HOST:PORT]\n             [--flight-dir DIR] [--log-level LVL] [--log-json]\n             [--kernel-threads N] [--sample-secs N]\n             [--slo-ms N] [--trace-store N]\n  nqpv client ADDR submit [--priority N] [--trace-out DIR] PATH…\n                                                 submit + stream verdicts\n  nqpv client ADDR watch                         stream every job event\n  nqpv client ADDR stats|ping|series|profile\n  nqpv client ADDR shutdown [--drain]\n  nqpv top ADDR [--once] [--interval SECS]   live terminal dashboard\n  nqpv ops\n\n  --infer        attempt wlp-fixpoint invariant inference for\n                 while loops lacking an inv: annotation\n  --jobs N       worker threads (default: available cores)\n  --kernel-threads N\n                 data-parallel threads *inside* each job's linalg\n                 kernels (default: 1, or NQPV_KERNEL_THREADS); results\n                 are bitwise identical for every value\n  --json         print the report as JSON instead of a summary\n  --no-cache     disable the shared wp memo cache\n  --cache-cap N  bound each cache tier to N entries (LRU eviction;\n                 eviction counts appear in the report)\n  --cache-dir D  persist solver verdicts under D (survives restarts,\n                 shared between batch runs and the daemon)\n  --cache-max-bytes N\n                 size budget for the verdict store under --cache-dir:\n                 oldest records are evicted to stay under N bytes\n  --no-bin       disable verdict-cache affinity scheduling\n  --explain      extract a counterexample (witness state, scheduler\n                 trace, expectation trajectory) for every rejected proof\n  --trace DIR    write one Chrome trace-event JSON per job under DIR\n                 (open in chrome://tracing or Perfetto)\n  --trace-out DIR\n                 (client submit) mint a wire trace id, propagate it to\n                 the daemon, and write one *stitched* Chrome trace per\n                 job under DIR combining the client's submit/wait spans\n                 with the daemon's queue/worker spans\n  --flight-dir DIR\n                 write flight-recorder snapshots (recent span/log\n                 events as JSON) under DIR on panics, timeouts and\n                 error verdicts — and on 'dump_flight' requests\n  --log-level LVL\n                 daemon stderr log threshold: error|warn|info|debug\n                 (default info)\n  --log-json     emit daemon logs as JSON lines instead of plain text\n  --job-timeout SECS\n                 per-job verification deadline: a job still unverified\n                 after SECS is stopped cooperatively and reported with\n                 a 'timeout' verdict\n  --max-queue N  refuse submissions once N jobs are queued (daemon\n                 backpressure; structured 'overloaded' reply)\n  --max-per-client N\n                 bound one connection's queued+running jobs to N\n                 (client-scoped 'overloaded' reply)\n  --drain-timeout SECS\n                 bound on 'shutdown --drain' backlog completion\n                 (default 30)\n  --metrics-addr HOST:PORT\n                 serve Prometheus text metrics at http://HOST:PORT/metrics\n                 (plus /healthz readiness and /series ring dump)\n  --sample-secs N\n                 metrics time-series sampling interval for the in-daemon\n                 ring (default 5)\n  --slo-ms N     per-job latency objective: track jobs within/over N ms\n                 and an error-budget burn-rate gauge (99% objective)\n  --trace-store N\n                 finished-trace FIFO capacity for wire-trace stitching\n                 (default 256; evictions are counted)\n  --profile-out FILE\n                 write a collapsed-stack self-time profile (folded\n                 flamegraph text: 'stack;frames count-in-us' lines)\n  --once         (top) render one dashboard frame and exit\n  --interval SECS\n                 (top) seconds between dashboard refreshes (default 2)\n  --priority N   scheduling priority for submitted jobs (higher first)\n  --drain        (client shutdown) finish the whole backlog before the\n                 daemon stops, instead of dropping queued jobs\n\nenvironment:\n  NQPV_FAULTS=<seed>:<site>[*<cap>],…\n                 arm the deterministic fault-injection harness (sites:\n                 worker_panic, solver_delay, disk_read, disk_write,\n                 conn_drop); inert when unset\n  NQPV_KERNEL_THREADS=N\n                 default kernel thread count when --kernel-threads\n                 is not given"
     );
     ExitCode::from(2)
 }
@@ -137,7 +138,6 @@ fn cmd_verify(path: &str, show: Option<&str>, infer: bool) -> ExitCode {
 /// 1 any rejected, 2 structural error).
 fn cmd_explain(rest: &[String], infer: bool) -> ExitCode {
     let mut json = false;
-    let mut screen = true;
     let mut trace_dir: Option<&str> = None;
     let mut profile_out: Option<&str> = None;
     let mut target: Option<&str> = None;
@@ -145,7 +145,6 @@ fn cmd_explain(rest: &[String], infer: bool) -> ExitCode {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--no-screen" => screen = false,
             "--kernel-threads" => match positive_arg(&mut it, "--kernel-threads") {
                 Ok(n) => nqpv_linalg::par::set_kernel_threads(n),
                 Err(code) => return code,
@@ -192,7 +191,6 @@ fn cmd_explain(rest: &[String], infer: bool) -> ExitCode {
         infer_invariants: infer,
         ..VcOptions::default()
     };
-    opts.lowner.screen = screen;
     // Both sinks need full span events: the Chrome trace replays them on a
     // timeline, the collapsed-stack profile folds them by self-time.
     let tracer = if trace_dir.is_some() || profile_out.is_some() {
@@ -239,7 +237,7 @@ fn cmd_explain(rest: &[String], infer: bool) -> ExitCode {
     if json {
         let mut out = String::new();
         out.push_str("{\"file\": ");
-        out.push_str(&json_str(path));
+        out.push_str(&json_string(path));
         out.push_str(", \"proofs\": [");
         for (i, d) in report.iter().enumerate() {
             if i > 0 {
@@ -247,7 +245,7 @@ fn cmd_explain(rest: &[String], infer: bool) -> ExitCode {
             }
             out.push_str(&format!(
                 "{{\"name\": {}, \"verified\": {}",
-                json_str(&d.name),
+                json_string(&d.name),
                 d.verified
             ));
             if let Some(cex) = &d.counterexample {
@@ -309,7 +307,6 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
     let mut trace_dir: Option<&str> = None;
     let mut flight_dir: Option<&str> = None;
     let mut profile_out: Option<&str> = None;
-    let mut screen = true;
     let mut target: Option<&str> = None;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
@@ -322,7 +319,6 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
                 Ok(n) => nqpv_linalg::par::set_kernel_threads(n),
                 Err(code) => return code,
             },
-            "--no-screen" => screen = false,
             "--cache-cap" => match positive_arg(&mut it, "--cache-cap") {
                 Ok(n) => cache_cap = Some(n),
                 Err(code) => return code,
@@ -435,13 +431,9 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
             trace_dir: trace_dir.map(std::path::PathBuf::from),
             flight_dir: flight_dir.map(std::path::PathBuf::from),
             job_timeout,
-            vc: {
-                let mut vc = VcOptions {
-                    infer_invariants: infer,
-                    ..VcOptions::default()
-                };
-                vc.lowner.screen = screen;
-                vc
+            vc: VcOptions {
+                infer_invariants: infer,
+                ..VcOptions::default()
             },
         },
     );
@@ -493,7 +485,6 @@ fn cmd_serve(rest: &[String], infer: bool) -> ExitCode {
                 Ok(n) => nqpv_linalg::par::set_kernel_threads(n),
                 Err(code) => return code,
             },
-            "--no-screen" => opts.vc.lowner.screen = false,
             "--cache-cap" => match positive_arg(&mut it, "--cache-cap") {
                 Ok(n) => opts.cache_cap = Some(n),
                 Err(code) => return code,
@@ -761,7 +752,7 @@ fn client_submit(client: &mut Client, rest: &[String]) -> std::io::Result<ExitCo
                     }
                     let ids: Vec<String> = accepted
                         .iter()
-                        .map(|(id, name)| format!("{{\"id\":{id},\"name\":{}}}", json_str(name)))
+                        .map(|(id, name)| format!("{{\"id\":{id},\"name\":{}}}", json_string(name)))
                         .collect();
                     println!("{{\"event\":\"accepted\",\"jobs\":[{}]}}", ids.join(","));
                     pending.extend(accepted.iter().map(|(id, _)| *id));
@@ -1230,11 +1221,6 @@ fn top_frame(client: &mut Client, addr: &str) -> std::io::Result<String> {
         }
     }
     Ok(out)
-}
-
-/// Minimal JSON string escaping for the `accepted` echo line.
-fn json_str(s: &str) -> String {
-    nqpv_service::proto::json_escape(s)
 }
 
 fn cmd_ops() -> ExitCode {

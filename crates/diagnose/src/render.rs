@@ -4,6 +4,7 @@
 //! Self-contained writer — the workspace vendors no serde.
 
 use crate::{Counterexample, TrajectoryPoint, Witness};
+use nqpv_telemetry::json_string;
 use std::fmt::Write as _;
 
 impl Counterexample {
@@ -188,27 +189,6 @@ fn num(x: f64) -> String {
     }
 }
 
-/// Escapes a string as a JSON literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,6 +244,5 @@ mod tests {
         assert_eq!(num(0.5), "0.5");
         assert_eq!(num(1.0), "1");
         assert_eq!(num(f64::NAN), "0");
-        assert_eq!(json_string("a\"b\n"), "\"a\\\"b\\n\"");
     }
 }

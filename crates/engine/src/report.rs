@@ -3,7 +3,7 @@
 //! the JSON writer below is self-contained).
 
 use crate::cache::CacheStats;
-use nqpv_telemetry::{Phase, PhaseTotals};
+use nqpv_telemetry::{json_string, Phase, PhaseTotals};
 use std::fmt::Write as _;
 
 /// Verdict for one named proof inside a job.
@@ -194,7 +194,6 @@ impl BatchReport {
             }
             let _ = write!(out, ", \"status\": \"{}\"", job.status.label());
             let _ = write!(out, ", \"ms\": {:.3}", job.ms);
-            let _ = write!(out, ", \"actual_ms\": {:.3}", job.ms);
             let _ = write!(out, ", \"predicted_cost\": {}", job.predicted_cost);
             let _ = write!(out, ", \"bin\": \"{:016x}\"", job.bin);
             let _ = write!(out, ", \"worker\": {}", job.worker);
@@ -377,27 +376,6 @@ fn phases_json(totals: &PhaseTotals) -> String {
     out
 }
 
-/// Escapes a string as a JSON literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,7 +464,6 @@ mod tests {
         assert!(json.contains("\"disk_bytes\": 4096"), "{json}");
         // Per-job wall time, cost prediction and phase breakdown ride along.
         assert!(json.contains("\"ms\": 1.250"), "{json}");
-        assert!(json.contains("\"actual_ms\": 1.250"), "{json}");
         assert!(json.contains("\"predicted_cost\": 1200"), "{json}");
         assert!(
             json.contains("\"phases\": {\"wp\": {\"spans\": 1, \"ms\": 1.500}, \"solver\": {\"spans\": 1, \"ms\": 0.250}}"),
@@ -563,8 +540,9 @@ mod tests {
 
     #[test]
     fn json_strings_escape_control_chars() {
-        assert_eq!(json_string("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_string("a\\b"), "\"a\\\\b\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        let mut report = sample();
+        report.jobs[1].name = "dir\\b\u{1}".into();
+        let json = report.to_json();
+        assert!(json.contains(r#""name": "dir\\b\u0001""#), "{json}");
     }
 }

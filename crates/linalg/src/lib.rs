@@ -41,7 +41,6 @@ mod factor;
 mod matrix;
 pub mod npy;
 pub mod par;
-mod screen;
 mod tensor;
 
 pub use cholesky::{
@@ -55,7 +54,6 @@ pub use factor::{
 };
 pub use matrix::{CMat, CVec};
 pub use npy::{read_matrix, read_matrix_bytes, write_matrix, write_matrix_bytes, NpyError};
-pub use screen::{screen_psd_f32, ScreenVerdict};
 pub use tensor::{
     adjoint_conjugate_gate, apply_gate_columns, apply_gate_left, apply_gate_right_adjoint,
     apply_gate_vec, bit_of, conjugate_gate, deposit_bits, embed, index_of_bits, partial_trace,

@@ -1,16 +1,9 @@
-//! Property tests for the intra-job parallel kernels and the f32
-//! screening tier: the two invariants this layer promises downstream.
-//!
-//! 1. **Bitwise determinism**: every threaded sweep (gate columns,
-//!    conjugation, blocked matmul, gram) produces byte-identical output
-//!    at thread counts 1, 2 and 7, non-contiguous footprints included.
-//! 2. **Screen soundness**: `screen_psd_f32` never contradicts the f64
-//!    certificate — on near-boundary operators it abstains instead.
+//! Property tests for the intra-job parallel kernels: every threaded
+//! sweep (gate columns, conjugation, blocked matmul, gram) produces
+//! byte-identical output at thread counts 1, 2 and 7, non-contiguous
+//! footprints included.
 
-use nqpv_linalg::{
-    adjoint_conjugate_gate, apply_gate_columns, c, conjugate_gate, eigh, gram, is_psd_pivoted, par,
-    screen_psd_f32, CMat, ScreenVerdict,
-};
+use nqpv_linalg::{adjoint_conjugate_gate, apply_gate_columns, c, conjugate_gate, gram, par, CMat};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -67,15 +60,6 @@ fn cmat(rows: usize, cols: usize) -> impl Strategy<Value = CMat> {
                 .collect(),
         )
     })
-}
-
-/// Strategy: a random hermitian matrix (no zero-flush).
-fn hermitian(dim: usize) -> impl Strategy<Value = CMat> {
-    proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), dim * dim)
-        .prop_map(move |xs| {
-            CMat::from_vec(dim, dim, xs.into_iter().map(|(re, im)| c(re, im)).collect())
-        })
-        .prop_map(|g| g.add_mat(&g.adjoint()).scale_re(0.5))
 }
 
 /// The pre-blocking reference matmul: naive ikj with the exact-zero skip.
@@ -173,39 +157,6 @@ proptest! {
         for threads in [1usize, 2, 7] {
             let threaded = with_threads(threads, || gram(&a, &b));
             prop_assert!(bits_eq(&reference, &threaded), "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn f32_screen_never_contradicts_f64_near_the_boundary(
-        h in hermitian(6),
-        delta in -2e-6f64..2e-6,
-    ) {
-        // Shift the spectrum so λ_min lands within ±2e-6 of zero — right
-        // where a sloppy screen would flip verdicts.
-        let eps = 1e-7;
-        let min = eigh(&h).unwrap().min();
-        let shifted = h.sub_mat(&CMat::identity(6).scale_re(min + delta));
-        match screen_psd_f32(&shifted, eps) {
-            ScreenVerdict::Psd => prop_assert!(
-                is_psd_pivoted(&shifted, eps),
-                "screen accepted, f64 rejects (delta {delta:e})"
-            ),
-            ScreenVerdict::NotPsd => prop_assert!(
-                !is_psd_pivoted(&shifted, eps),
-                "screen rejected, f64 accepts (delta {delta:e})"
-            ),
-            ScreenVerdict::NearBoundary => {}
-        }
-    }
-
-    #[test]
-    fn f32_screen_agrees_on_generic_operators(h in hermitian(5)) {
-        let eps = 1e-7;
-        match screen_psd_f32(&h, eps) {
-            ScreenVerdict::Psd => prop_assert!(is_psd_pivoted(&h, eps)),
-            ScreenVerdict::NotPsd => prop_assert!(!is_psd_pivoted(&h, eps)),
-            ScreenVerdict::NearBoundary => {}
         }
     }
 }

@@ -8,6 +8,7 @@
 //! 2⁵³ exact range). Object member order is preserved on both sides so
 //! encoded lines are deterministic.
 
+use nqpv_telemetry::json_string;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -110,7 +111,7 @@ impl fmt::Display for Json {
                     write!(f, "{x}")
                 }
             }
-            Json::Str(s) => write!(f, "{}", escape(s)),
+            Json::Str(s) => write!(f, "{}", json_string(s)),
             Json::Arr(items) => {
                 write!(f, "[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -127,33 +128,12 @@ impl fmt::Display for Json {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    write!(f, "{}:{v}", escape(k))?;
+                    write!(f, "{}:{v}", json_string(k))?;
                 }
                 write!(f, "}}")
             }
         }
     }
-}
-
-/// Escapes a string as a JSON literal, quotes included.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 struct Parser<'a> {
@@ -411,6 +391,22 @@ mod tests {
         assert_eq!(v.as_str(), Some("tab\t quote\" back\\ ué pair😀"));
         let round = Json::parse(&v.to_string()).unwrap();
         assert_eq!(round, v);
+    }
+
+    #[test]
+    fn json_string_escapes_and_roundtrips() {
+        for (raw, literal) in [
+            ("plain", r#""plain""#),
+            ("a\"b", r#""a\"b""#),
+            ("a\\b", r#""a\\b""#),
+            ("\n\r\t", r#""\n\r\t""#),
+            ("\u{1}", r#""\u0001""#),
+            ("\u{1f}", r#""\u001f""#),
+            ("é ⊑ 😀", r#""é ⊑ 😀""#),
+        ] {
+            assert_eq!(json_string(raw), literal, "{raw:?}");
+            assert_eq!(Json::parse(literal), Ok(Json::Str(raw.into())), "{raw:?}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! are ignored on decode, so old clients keep working when the daemon
 //! grows new ones.
 
-use crate::json::{escape, n, obj, s, Json};
+use crate::json::{n, obj, s, Json};
 use nqpv_engine::{CacheStats, JobReport, JobStatus};
 
 /// A client→daemon request.
@@ -302,8 +302,8 @@ pub struct VerdictEvent {
     /// the extra member — the protocol is versioned by field presence.
     pub counterexamples: Vec<Json>,
     /// Static cost prediction recorded at admission
-    /// ([`nqpv_engine::Job::cost`] units); compare against `ms` (also
-    /// streamed as `actual_ms`) for predicted-vs-actual accounting.
+    /// ([`nqpv_engine::Job::cost`] units); compare against `ms` for
+    /// predicted-vs-actual accounting.
     /// Versioned by field presence — old daemons omit it (decodes 0).
     pub predicted_cost: u64,
     /// The job's wire trace id (hex), present only for traced jobs —
@@ -453,7 +453,6 @@ impl Event {
                     ("name", s(v.name.clone())),
                     ("status", s(v.status.clone())),
                     ("ms", n(v.ms)),
-                    ("actual_ms", n(v.ms)),
                     ("predicted_cost", n(v.predicted_cost as f64)),
                     ("bin", s(v.bin.clone())),
                     ("worker", n(v.worker as f64)),
@@ -821,12 +820,6 @@ pub fn verdict_event(id: u64, report: &JobReport, trace: Option<String>) -> Even
         predicted_cost: report.predicted_cost,
         trace,
     })
-}
-
-/// Renders an operator-facing string as a JSON string literal — re-export
-/// for the CLI's ad-hoc output.
-pub fn json_escape(text: &str) -> String {
-    escape(text)
 }
 
 #[cfg(test)]

@@ -27,10 +27,9 @@
 use crate::lanczos::{max_eigenpair, min_eigenpair, LanczosOptions};
 use crate::primal::{max_min_expectation, PrimalOptions};
 use crate::simplex::{exp_gradient_step, uniform};
-use nqpv_linalg::{is_psd_pivoted, screen_psd_f32, CMat, CVec, ScreenVerdict};
-use nqpv_telemetry::{ArgValue, Counter, Deadline, Phase, Span, Tracer};
+use nqpv_linalg::{is_psd_pivoted, CMat, CVec};
+use nqpv_telemetry::{ArgValue, Deadline, Phase, Tracer};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 /// Default decision precision, mirroring the paper's user-defined `ε`.
 pub const DEFAULT_EPS: f64 = 1e-7;
@@ -60,12 +59,6 @@ pub struct LownerOptions {
     /// like [`LownerOptions::tracer`], renders a constant `Debug` so
     /// cache keys stay deadline-independent.
     pub deadline: Deadline,
-    /// Run the f32 screening tier ([`screen_psd_f32`]) ahead of the f64
-    /// pivoted-Cholesky certificates. Screen verdicts carry certified
-    /// margins, so flipping this knob never changes a verdict — it is an
-    /// ablation/benchmarking switch. Unlike `tracer`/`deadline` it *does*
-    /// participate in `Debug`, so cache keys partition on it.
-    pub screen: bool,
 }
 
 impl Default for LownerOptions {
@@ -77,51 +70,8 @@ impl Default for LownerOptions {
             primal: PrimalOptions::default(),
             tracer: Tracer::DISABLED,
             deadline: Deadline::NONE,
-            screen: true,
         }
     }
-}
-
-/// Per-outcome tallies for the screening tier, exported as
-/// `nqpv_solver_screen_total{outcome="accept"|"reject"|"fallback"}`.
-fn screen_counter(verdict: ScreenVerdict) -> &'static Arc<Counter> {
-    static COUNTERS: OnceLock<[Arc<Counter>; 3]> = OnceLock::new();
-    let counters = COUNTERS.get_or_init(|| {
-        let make = |outcome| {
-            nqpv_telemetry::global().counter(
-                "nqpv_solver_screen_total",
-                "f32 Löwner screening outcomes",
-                &[("outcome", outcome)],
-            )
-        };
-        [make("accept"), make("reject"), make("fallback")]
-    });
-    match verdict {
-        ScreenVerdict::Psd => &counters[0],
-        ScreenVerdict::NotPsd => &counters[1],
-        ScreenVerdict::NearBoundary => &counters[2],
-    }
-}
-
-/// PSD certificate shared by the solver fast paths: the optional f32
-/// screening tier in front of the f64 pivoted Cholesky. Screen verdicts
-/// are certified (see [`screen_psd_f32`]), so the answer is identical
-/// with `opts.screen` on or off; the outcome split lands in
-/// `nqpv_solver_screen_total` and on the obligation span.
-fn psd_certify(diff: &CMat, opts: &LownerOptions, span: &mut Span) -> bool {
-    if opts.screen {
-        let verdict = screen_psd_f32(diff, opts.eps);
-        screen_counter(verdict).inc();
-        if span.recording() {
-            span.arg("screen", ArgValue::Static(verdict.label()));
-        }
-        match verdict {
-            ScreenVerdict::Psd => return true,
-            ScreenVerdict::NotPsd => return false,
-            ScreenVerdict::NearBoundary => {}
-        }
-    }
-    is_psd_pivoted(diff, opts.eps)
 }
 
 /// A concrete violation of an assertion order.
@@ -368,7 +318,7 @@ pub fn assertion_le(
         // check, settled without any Lanczos iteration.
         if theta
             .iter()
-            .any(|m| psd_certify(&n.sub_mat(m), &opts, &mut span))
+            .any(|m| is_psd_pivoted(&n.sub_mat(m), opts.eps))
         {
             span.classify("solver_path", "cholesky");
             span.arg("outcome", ArgValue::Static("holds"));
@@ -484,10 +434,7 @@ pub fn assertion_le_sup(
             span.arg("element", ArgValue::U64(mi as u64));
         }
         // Vertex shortcut: if M ⊑ N for some N, the game value is ≤ 0.
-        if psi
-            .iter()
-            .any(|n| psd_certify(&n.sub_mat(m), &opts, &mut span))
-        {
+        if psi.iter().any(|n| is_psd_pivoted(&n.sub_mat(m), opts.eps)) {
             span.classify("solver_path", "cholesky");
             span.arg("outcome", ArgValue::Static("holds"));
             continue;

@@ -16,6 +16,7 @@
 //! `nqpv client … submit --trace-out` cross-references the fetched
 //! trace.
 
+use crate::json_string;
 use crate::log::Level;
 use crate::metrics::global;
 use std::path::{Path, PathBuf};
@@ -175,9 +176,9 @@ pub fn render_dump(reason: &str, job: &str, trace_id_hex: &str) -> String {
     let mut out = String::with_capacity(256 + events.len() * 96);
     out.push_str(&format!(
         "{{\"reason\":{},\"job\":{},\"trace_id\":{},\"recorded\":{},\"dropped\":{},\"events\":[",
-        json_str(reason),
-        json_str(job),
-        json_str(trace_id_hex),
+        json_string(reason),
+        json_string(job),
+        json_string(trace_id_hex),
         recorder().recorded(),
         recorder().dropped(),
     ));
@@ -190,9 +191,9 @@ pub fn render_dump(reason: &str, job: &str, trace_id_hex: &str) -> String {
             ev.seq,
             ev.ts_us,
             ev.level.label(),
-            json_str(ev.target),
+            json_string(ev.target),
             ev.trace_id,
-            json_str(&ev.message),
+            json_string(&ev.message),
         ));
     }
     out.push_str("]}");
@@ -235,24 +236,6 @@ pub fn dump_to(
     ));
     std::fs::write(&path, render_dump(reason, job, trace_id_hex))?;
     Ok(path)
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

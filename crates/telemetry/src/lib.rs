@@ -40,6 +40,8 @@ pub mod profile;
 pub mod series;
 mod trace;
 
+use std::fmt::Write as _;
+
 pub use deadline::Deadline;
 pub use http::{HttpResponse, MetricsServer};
 pub use metrics::{
@@ -101,6 +103,30 @@ pub fn record_job(status: &str, seconds: f64, data: &TraceData) {
             .add(*n);
         }
     }
+}
+
+/// Escapes `s` as a JSON string literal, quotes included: `"`, `\`,
+/// `\n`, `\r` and `\t` get their short escapes, other control
+/// characters `\u00XX`, and everything else passes through unchanged.
+/// The one escaper behind every hand-built JSON line in the workspace.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! callers can log unconditionally.
 
 use crate::flight;
+use crate::json_string;
 use crate::trace::wall_clock_us;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -107,14 +108,14 @@ pub fn log(level: Level, target: &'static str, trace_id: u64, msg: &str, fields:
             "{{\"ts_us\":{},\"level\":\"{}\",\"target\":{},\"msg\":{}",
             wall_clock_us(),
             level.label(),
-            json_str(target),
-            json_str(msg),
+            json_string(target),
+            json_string(msg),
         );
         if trace_id != 0 {
             l.push_str(&format!(",\"trace_id\":\"{trace_id:016x}\""));
         }
         for (k, v) in fields {
-            l.push_str(&format!(",{}:{}", json_str(k), json_str(v)));
+            l.push_str(&format!(",{}:{}", json_string(k), json_string(v)));
         }
         l.push('}');
         l
@@ -150,24 +151,6 @@ pub fn info(target: &'static str, trace_id: u64, msg: &str, fields: &[(&str, &st
 /// [`log`] at [`Level::Debug`].
 pub fn debug(target: &'static str, trace_id: u64, msg: &str, fields: &[(&str, &str)]) {
     log(Level::Debug, target, trace_id, msg, fields);
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 //! and runs [`HistogramSnapshot::quantile`] over the result — a p95
 //! over the last N windows, not since process start.
 
+use crate::json_string;
 use crate::metrics::{HistogramSnapshot, Registry, Sample, SampleValue};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -263,9 +264,9 @@ pub fn samples_to_json(samples: &[SeriesSample]) -> String {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"labels\":\"{}\",",
-                json_escape(&p.name),
-                json_escape(&p.labels)
+                "{{\"name\":{},\"labels\":{},",
+                json_string(&p.name),
+                json_string(&p.labels)
             ));
             match &p.value {
                 SeriesValue::Rate { delta, per_sec } => {
@@ -298,22 +299,6 @@ pub fn samples_to_json(samples: &[SeriesSample]) -> String {
         out.push_str("]}");
     }
     out.push_str("]}");
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

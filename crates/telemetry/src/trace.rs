@@ -21,6 +21,7 @@
 //! `Debug` rendering, and a key that varied with the tracer slot would
 //! silently partition the memo/verdict caches per job.
 
+use crate::json_string;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -385,25 +386,6 @@ pub fn stitch_chrome_json(trace_id_hex: &str, parts: &[&str]) -> String {
         out.push_str(inner);
     }
     out.push_str("]}");
-    out
-}
-
-/// Minimal JSON string escaper (quotes, backslash, control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -4,7 +4,7 @@
 
 use nqpv::core::casestudies::{deutsch, err_corr, grover, grover_parameters, qwalk};
 use nqpv::core::correctness::{check_on_states, sample_states, Sense};
-use nqpv::core::Assertion;
+use nqpv::core::{Assertion, VcOptions};
 use nqpv::linalg::{embed, CMat, CVec};
 use nqpv::quantum::{ket, OperatorLibrary, Register};
 use nqpv::semantics::DenoteOptions;
@@ -138,19 +138,32 @@ fn e3_qwalk_total_claim_would_be_false() {
 
 #[test]
 fn e6_grover_verifies_and_derives_success_probability() {
-    for n in 1..=5 {
+    for n in 1..=7 {
         let params = grover_parameters(n);
-        let outcome = grover(n).verify().expect("verification runs");
-        assert!(outcome.status.verified(), "n = {n}");
-        // The computed wp is exactly p·I: read p back off the matrix.
-        let wp = &outcome.computed_pre;
-        assert_eq!(wp.len(), 1);
-        let p_derived = wp.ops()[0][(0, 0)].re;
-        assert!(
-            (p_derived - params.success_probability).abs() < 1e-9,
-            "n = {n}: derived {p_derived}, closed form {}",
-            params.success_probability
-        );
+        let study = grover(n);
+        let factored = study.verify().expect("verification runs");
+        // The dense pipeline (`factor_assertions = false`) must agree; it
+        // is too slow to run past a few qubits.
+        let dense = (n <= 4).then(|| {
+            let opts = VcOptions {
+                mode: study.mode,
+                factor_assertions: false,
+                ..VcOptions::default()
+            };
+            study.verify_with(opts).expect("verification runs")
+        });
+        for outcome in std::iter::once(&factored).chain(dense.as_ref()) {
+            assert!(outcome.status.verified(), "n = {n}");
+            // The computed wp is exactly p·I: read p back off the matrix.
+            let wp = &outcome.computed_pre;
+            assert_eq!(wp.len(), 1);
+            let p_derived = wp.ops()[0][(0, 0)].re;
+            assert!(
+                (p_derived - params.success_probability).abs() < 1e-9,
+                "n = {n}: derived {p_derived}, closed form {}",
+                params.success_probability
+            );
+        }
     }
 }
 

@@ -6,6 +6,7 @@
 use nqpv::core::casestudies::qwalk_invariant;
 use nqpv::core::{Session, SessionError};
 use nqpv::linalg::write_matrix;
+use nqpv::service::json::Json;
 use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -315,6 +316,49 @@ fn cli_batch_verifies_the_corpus_in_parallel() {
     // Corpus-level failures are usage-style errors: exit 2.
     let nodir = run_nqpv(&["batch", "examples/no_such_dir"]).unwrap();
     assert_eq!(nodir.status.code(), Some(2));
+}
+
+/// The verdict-bearing fields (`name`, `status`, `error`, `proofs`) of
+/// every job in a `batch --json` report, sorted by job name. Timings and
+/// cache counters vary run to run; these must not.
+fn batch_verdicts(args: &[&str]) -> Option<Vec<Vec<String>>> {
+    let out = run_nqpv(args)?;
+    // The corpus holds rejected and parse-error jobs → exit 1.
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("batch JSON parses");
+    let mut jobs: Vec<Vec<String>> = report
+        .get("jobs")
+        .and_then(Json::as_arr)
+        .expect("jobs array")
+        .iter()
+        .map(|job| {
+            ["name", "status", "error", "proofs"]
+                .iter()
+                .map(|k| job.get(k).map_or_else(|| "null".into(), Json::to_string))
+                .collect()
+        })
+        .collect();
+    jobs.sort();
+    Some(jobs)
+}
+
+#[test]
+fn cli_batch_verdicts_are_identical_across_kernel_threads() {
+    // The parallel kernels keep each output element's floating-point
+    // accumulation inside one chunk, so verdicts are bitwise independent
+    // of the kernel thread count.
+    let corpus = ["batch", "examples/corpus", "--json", "--kernel-threads"];
+    let Some(one) = batch_verdicts(&[&corpus[..], &["1"]].concat()) else {
+        return;
+    };
+    let four = batch_verdicts(&[&corpus[..], &["4"]].concat()).expect("binary available");
+    assert_eq!(one.len(), 8, "{one:?}");
+    assert_eq!(one, four);
 }
 
 #[test]
