@@ -24,8 +24,8 @@
 
 use nqpv_lang::AssertionExpr;
 use nqpv_linalg::{
-    apply_gate_columns, conjugate_gate, deposit_bits, embed, embed_factor, factor_recompress, gram,
-    hconcat, low_rank_factor, CMat,
+    adjoint_conjugate_gate, apply_gate_columns, apply_gate_columns_adjoint, conjugate_gate,
+    deposit_bits, embed, embed_factor, factor_recompress, gram, hconcat, low_rank_factor, CMat,
 };
 use nqpv_quantum::{OperatorLibrary, Register, SuperOp};
 use nqpv_solver::{assertion_le, factored_lowner_le, LownerOptions, Verdict};
@@ -466,8 +466,8 @@ impl Assertion {
     /// `positions`: dense predicates run the strided conjugation,
     /// factored ones map their factor through one gate sweep
     /// (`U_S†·V` — rank and width unchanged, no recompression needed).
+    /// Both read `U†` from `u` by index; no adjoint is materialised.
     pub fn wp_unitary(&self, u: &CMat, positions: &[usize], n: usize) -> Assertion {
-        let ua = u.adjoint();
         Assertion {
             dim: self.dim,
             ops: self
@@ -475,11 +475,11 @@ impl Assertion {
                 .iter()
                 .map(|p| match p {
                     Predicate::Dense(m) => {
-                        Predicate::Dense(nqpv_linalg::adjoint_conjugate_gate(u, positions, n, m))
+                        Predicate::Dense(adjoint_conjugate_gate(u, positions, n, m))
                     }
                     Predicate::Factored(f) => {
                         let mut v = f.v.clone();
-                        apply_gate_columns(&ua, positions, n, &mut v);
+                        apply_gate_columns_adjoint(u, positions, n, &mut v);
                         Predicate::Factored(Factor::new(v))
                     }
                 })
@@ -893,6 +893,55 @@ mod tests {
         assert_eq!(wp.max_factored_rank(), Some(1));
         let dense_ref = hh.adjoint_conjugate(&ket("11").projector());
         assert!(wp.ops()[0].dense().approx_eq(&dense_ref, 1e-10));
+    }
+
+    #[test]
+    fn wp_unitary_matches_the_materialised_adjoint_bitwise() {
+        // The (Unit) rule reads U† from `u` by index; on one factored and
+        // one dense element it must reproduce the formula over a
+        // materialised `u.adjoint()` bit for bit. `u` is not hermitian,
+        // so U† ≠ U and the test tells the two apart.
+        let u = CMat::from_fn(4, 4, |i, j| {
+            nqpv_linalg::c(
+                (i * 4 + j) as f64 * 0.13 - 0.9,
+                (i as f64 - 2.0 * j as f64) * 0.21,
+            )
+        });
+        assert!(!u.approx_eq(&u.adjoint(), 1e-6));
+        let (pos, n) = ([2usize, 0], 3);
+        let v = CMat::from_fn(8, 2, |i, j| {
+            nqpv_linalg::c((i + j) as f64 * 0.2 - 0.5, i as f64 * 0.1 - j as f64 * 0.3)
+        });
+        let m = CMat::from_fn(8, 8, |i, j| {
+            nqpv_linalg::c((i + 2 * j) as f64 * 0.07, (i as f64 - j as f64) * 0.05)
+        });
+        let a = Assertion::from_predicates(
+            8,
+            vec![
+                Predicate::Factored(Factor::new(v.clone())),
+                Predicate::Dense(m.clone()),
+            ],
+        )
+        .unwrap();
+        let wp = a.wp_unitary(&u, &pos, n);
+        let ua = u.adjoint();
+        let mut v_ref = v;
+        apply_gate_columns(&ua, &pos, n, &mut v_ref);
+        let m_ref = conjugate_gate(&ua, &pos, n, &m);
+        let bits = |x: &CMat| -> Vec<(u64, u64)> {
+            x.as_slice()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        assert_eq!(wp.len(), 2);
+        match (&wp.ops()[0], &wp.ops()[1]) {
+            (Predicate::Factored(f), Predicate::Dense(d)) => {
+                assert_eq!(bits(f.v()), bits(&v_ref));
+                assert_eq!(bits(d), bits(&m_ref));
+            }
+            other => panic!("representations changed: {other:?}"),
+        }
     }
 
     #[test]

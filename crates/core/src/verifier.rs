@@ -15,6 +15,7 @@ use crate::transformer::VcOptions;
 use nqpv_lang::{AssertionExpr, ProofTerm, Stmt};
 use nqpv_quantum::{OperatorLibrary, Register};
 use nqpv_solver::Verdict;
+use nqpv_telemetry::Phase;
 use std::collections::HashMap;
 
 /// The machine-readable record of a failed final comparison
@@ -115,18 +116,22 @@ pub fn verify_proof_term_with(
     let reg = Register::new(&term.qubits)?;
     // Resolve and name the user-facing assertions (rank detection per
     // `opts.factor_assertions`).
-    let post = resolve_user_assertion(&term.post, lib, &reg, registry, opts.factor_assertions)?;
-    let pre = match &term.pre {
-        Some(expr) => Some(resolve_user_assertion(
-            expr,
-            lib,
-            &reg,
-            registry,
-            opts.factor_assertions,
-        )?),
-        None => None,
+    let (post, pre) = {
+        let _span = opts.tracer.span(Phase::Other, "resolve");
+        let post = resolve_user_assertion(&term.post, lib, &reg, registry, opts.factor_assertions)?;
+        let pre = match &term.pre {
+            Some(expr) => Some(resolve_user_assertion(
+                expr,
+                lib,
+                &reg,
+                registry,
+                opts.factor_assertions,
+            )?),
+            None => None,
+        };
+        register_stmt_assertions(&term.body, lib, &reg, registry);
+        (post, pre)
     };
-    register_stmt_assertions(&term.body, lib, &reg, registry);
 
     // Backward pass.
     let ann = crate::transformer::backward_with_cache(
@@ -158,14 +163,17 @@ pub fn verify_proof_term_with(
         },
     };
 
-    let pre_display = term.pre.as_ref().map(render_assertion_expr);
-    let outline = render_outline(
-        &term.qubits,
-        pre_display.as_deref(),
-        &ann,
-        &render_assertion_expr(&term.post),
-        registry,
-    );
+    let outline = {
+        let _span = opts.tracer.span(Phase::Other, "outline");
+        let pre_display = term.pre.as_ref().map(render_assertion_expr);
+        render_outline(
+            &term.qubits,
+            pre_display.as_deref(),
+            &ann,
+            &render_assertion_expr(&term.post),
+            registry,
+        )
+    };
     Ok(VerifyOutcome {
         status,
         computed_pre: ann.pre,
@@ -292,6 +300,41 @@ mod tests {
           ( [q1 q2] *= W1; [q1 q2] *= W2 # [q1 q2] *= W2; [q1 q2] *= W1 ) \
         end; \
         { Zero[q1] }";
+
+    #[test]
+    fn resolve_and_outline_spans_sit_outside_every_wp_span() {
+        // Assertion resolution and outline rendering get spans of their
+        // own, so a trace attributes them instead of leaving them between
+        // the wp spans. Both brackets must close before the first wp span
+        // opens, or open after the last one closes.
+        let tracer = nqpv_telemetry::Tracer::create(true);
+        let mut session =
+            crate::Session::new().with_options(VcOptions::default().with_tracer(tracer));
+        session
+            .run_str(include_str!("../../../examples/corpus/grover_step.nqpv"))
+            .unwrap();
+        assert_eq!(session.proof_verdicts(), &[("pf".to_string(), true)]);
+        let events = tracer.finish().expect("live tracer").events;
+        let end = |e: &nqpv_telemetry::TraceEvent| e.ts_us + e.dur_us as i64;
+        let wp: Vec<_> = events.iter().filter(|e| e.phase == Phase::Wp).collect();
+        assert!(!wp.is_empty(), "the backward pass is traced");
+        let first_wp = wp.iter().map(|e| e.ts_us).min().unwrap();
+        let last_wp = wp.iter().map(|e| end(e)).max().unwrap();
+        let named = |name: &str| -> Vec<&nqpv_telemetry::TraceEvent> {
+            events.iter().filter(|e| e.name == name).collect()
+        };
+        let (resolve, outline) = (named("resolve"), named("outline"));
+        assert_eq!((resolve.len(), outline.len()), (1, 1), "{events:?}");
+        assert!(resolve[0].phase == Phase::Other && outline[0].phase == Phase::Other);
+        assert!(
+            end(resolve[0]) <= first_wp,
+            "resolve nested in wp: {events:?}"
+        );
+        assert!(
+            outline[0].ts_us >= last_wp,
+            "outline nested in wp: {events:?}"
+        );
+    }
 
     #[test]
     fn qwalk_verifies_and_produces_the_sec62_outline() {

@@ -123,6 +123,60 @@ fn deposit_sub_index(x: usize, positions: &[usize], n: usize) -> usize {
     i
 }
 
+/// How a sweep reads its `dk × dk` gate `G`: entry `(x, y)` of the
+/// applied operator is `G[x][y]` (`AsIs`), `conj(G[x][y])` (`Conj`),
+/// `conj(G[y][x])` (`Adjoint`) or `G[y][x]` (`Transpose`). Reading by
+/// index replaces a per-call `G.conj()` / `G.adjoint()` copy. Every
+/// output element sums the same products in the same ascending order
+/// as it would over the materialised matrix, so results are bitwise
+/// identical to it.
+#[derive(Clone, Copy)]
+enum GateView {
+    AsIs,
+    Conj,
+    Adjoint,
+    Transpose,
+}
+
+impl GateView {
+    /// `acc ← view(G) · g` for one gathered block. `AsIs`/`Conj` take
+    /// row-contiguous dot products; `Adjoint`/`Transpose` stream the
+    /// rows of `G` into the accumulator, so no view walks a column.
+    #[inline]
+    fn apply(self, gate: &CMat, g: &[Complex], acc: &mut [Complex]) {
+        match self {
+            GateView::AsIs => dot_rows(gate, g, acc, |z| z),
+            GateView::Conj => dot_rows(gate, g, acc, Complex::conj),
+            GateView::Adjoint => stream_rows(gate, g, acc, Complex::conj),
+            GateView::Transpose => stream_rows(gate, g, acc, |z| z),
+        }
+    }
+}
+
+/// `acc[x] = Σ_y f(G[x][y])·g[y]`, summed in ascending `y`.
+#[inline(always)]
+fn dot_rows(gate: &CMat, g: &[Complex], acc: &mut [Complex], f: impl Fn(Complex) -> Complex) {
+    for (x, a) in acc.iter_mut().enumerate() {
+        let mut s = Complex::ZERO;
+        for (&e, &gy) in gate.row(x).iter().zip(g) {
+            s += f(e) * gy;
+        }
+        *a = s;
+    }
+}
+
+/// `acc[x] = Σ_y f(G[y][x])·g[y]`, summed in ascending `y`: the sums
+/// [`dot_rows`] takes over the materialised transpose, read row by row.
+#[inline(always)]
+fn stream_rows(gate: &CMat, g: &[Complex], acc: &mut [Complex], f: impl Fn(Complex) -> Complex) {
+    acc.fill(Complex::ZERO);
+    for (y, &gy) in g.iter().enumerate() {
+        for (a, &e) in acc.iter_mut().zip(gate.row(y)) {
+            *a += f(e) * gy;
+        }
+    }
+}
+
 /// Precomputed index plan for applying a `k`-qubit gate inside an
 /// `n`-qubit space: the "rest" qubit shifts and the sub-index deposits.
 /// Building it once per gate application (instead of once per matrix row,
@@ -162,54 +216,32 @@ impl GatePlan {
         }
     }
 
-    /// Applies `gate` to the virtual vector `v[t] = data[offset + t·stride]`,
-    /// `t ∈ 0..2^n`, in place, using `gathered` as scratch (length `dk`).
-    fn run(
-        &self,
-        gate: &CMat,
-        data: &mut [Complex],
-        offset: usize,
-        stride: usize,
-        gathered: &mut [Complex],
-    ) {
-        // SAFETY: the unique borrow guarantees validity and exclusivity.
-        unsafe {
-            self.run_raw(
-                gate,
-                data.as_mut_ptr(),
-                data.len(),
-                offset,
-                stride,
-                gathered,
-            )
-        }
-    }
-
-    /// [`GatePlan::run`] over a raw element pointer, so the threaded
-    /// sweeps can share one buffer across chunks with provably disjoint
-    /// index sets (each virtual vector touches `offset + t·stride` only —
-    /// distinct offsets with a common stride never collide).
+    /// Applies `view(gate)` to the virtual vector
+    /// `v[t] = data[offset + t·stride]`, `t ∈ 0..2^n`, in place. `scratch`
+    /// (length `2·dk`) holds the gathered block and its accumulator.
     ///
-    /// The floating-point operations and their order are exactly those of
-    /// the serial kernel: every output element is gathered, multiplied and
+    /// The threaded sweeps share one buffer across chunks with provably
+    /// disjoint index sets (each virtual vector touches
+    /// `offset + t·stride` only — distinct offsets with a common stride
+    /// never collide). Every output element is gathered, multiplied and
     /// scattered within one call, so results are bitwise identical for
     /// every chunking.
     ///
     /// # Safety
     ///
-    /// `data` must be valid for reads and writes of `len` elements for the
-    /// duration of the call, and the index set this call touches must be
-    /// disjoint from that of every concurrent call on the same buffer.
+    /// `data` must wrap a live buffer for the duration of the call, and
+    /// the index set this call touches must be disjoint from that of
+    /// every concurrent call on the same buffer.
     unsafe fn run_raw(
         &self,
         gate: &CMat,
-        data: *mut Complex,
-        len: usize,
+        view: GateView,
+        data: &SharedMut<Complex>,
         offset: usize,
         stride: usize,
-        gathered: &mut [Complex],
+        scratch: &mut [Complex],
     ) {
-        debug_assert_eq!(gate.rows(), self.dk);
+        let (gathered, acc) = scratch.split_at_mut(self.dk);
         for r in 0..self.rest_count {
             // Spread the bits of r into the rest positions.
             let mut base = 0usize;
@@ -217,19 +249,16 @@ impl GatePlan {
                 let b = (r >> (self.rest_shifts.len() - 1 - bi)) & 1;
                 base |= b << sh;
             }
-            for (x, g) in gathered.iter_mut().enumerate().take(self.dk) {
-                let idx = offset + (base | self.sub_deposits[x]) * stride;
-                debug_assert!(idx < len);
-                *g = *data.add(idx);
+            for (g, &dep) in gathered.iter_mut().zip(&self.sub_deposits) {
+                let idx = offset + (base | dep) * stride;
+                debug_assert!(idx < data.len());
+                *g = *data.ptr().add(idx);
             }
-            for x in 0..self.dk {
-                let mut acc = Complex::ZERO;
-                for y in 0..self.dk {
-                    acc += gate[(x, y)] * gathered[y];
-                }
-                let idx = offset + (base | self.sub_deposits[x]) * stride;
-                debug_assert!(idx < len);
-                *data.add(idx) = acc;
+            view.apply(gate, gathered, acc);
+            for (&a, &dep) in acc.iter().zip(&self.sub_deposits) {
+                let idx = offset + (base | dep) * stride;
+                debug_assert!(idx < data.len());
+                *data.ptr().add(idx) = a;
             }
         }
     }
@@ -241,13 +270,15 @@ impl GatePlan {
     }
 }
 
-/// Runs `plan` on the virtual vectors `offsets(j), stride` for every
-/// `j ∈ 0..count`, chunked across the kernel backend. Distinct offsets
-/// with a common stride address disjoint index sets, so chunks never
-/// overlap; each chunk brings its own scratch buffer.
+/// Runs `plan` with `view(gate)` on the virtual vectors
+/// `offset_of(j), stride` for every `j ∈ 0..count`, chunked across the
+/// kernel backend. Distinct offsets with a common stride address
+/// disjoint index sets, so chunks never overlap; each chunk brings its
+/// own scratch buffer.
 fn sweep_strided(
     plan: &GatePlan,
     gate: &CMat,
+    view: GateView,
     data: &mut [Complex],
     count: usize,
     stride: usize,
@@ -255,23 +286,59 @@ fn sweep_strided(
 ) {
     let shared = SharedMut::new(data);
     par::sweep(count, plan.sweep_work(), |range| {
-        let mut gathered = vec![Complex::ZERO; plan.dk];
+        let mut scratch = vec![Complex::ZERO; 2 * plan.dk];
         for j in range {
             // SAFETY: `shared` wraps a live unique borrow; chunk `j`
             // ranges are disjoint and each `j` touches only indices
             // `offset_of(j) + t·stride`, distinct across `j`.
-            unsafe {
-                plan.run_raw(
-                    gate,
-                    shared.ptr(),
-                    shared.len(),
-                    offset_of(j),
-                    stride,
-                    &mut gathered,
-                )
-            }
+            unsafe { plan.run_raw(gate, view, &shared, offset_of(j), stride, &mut scratch) }
         }
     });
+}
+
+/// Checks what every public sweep relies on: distinct in-range
+/// `positions` and a square `2^k × 2^k` gate for `k = positions.len()`.
+/// Matrix indexing only bounds-checks the flat offset, so a wrong-size
+/// gate would otherwise be read silently out of shape.
+fn validate_gate(gate: &CMat, positions: &[usize], n: usize) {
+    validate_positions(positions, n);
+    let dk = 1usize << positions.len();
+    assert!(
+        gate.rows() == dk && gate.cols() == dk,
+        "gate size mismatch: a {}×{} gate on {} qubit(s) must be {dk}×{dk}",
+        gate.rows(),
+        gate.cols(),
+        positions.len()
+    );
+}
+
+/// Checks that `m` is a `2^n × 2^n` operator.
+fn validate_square(m: &CMat, n: usize) {
+    let d = 1usize << n;
+    assert_eq!(m.rows(), d, "matrix dimension mismatch");
+    assert_eq!(m.cols(), d, "matrix dimension mismatch");
+}
+
+/// Sweeps `view(gate)` down every column of `v` (`V ← G_S·V` for
+/// `AsIs`). Column `j` occupies indices `j + t·r` (`t < 2ⁿ`): disjoint
+/// across columns.
+fn sweep_columns(gate: &CMat, view: GateView, positions: &[usize], n: usize, v: &mut CMat) {
+    assert_eq!(v.rows(), 1usize << n, "factor height mismatch");
+    validate_gate(gate, positions, n);
+    let r = v.cols();
+    if r == 0 {
+        return;
+    }
+    let plan = GatePlan::new(positions, n);
+    sweep_strided(&plan, gate, view, v.as_mut_slice(), r, r, |j| j);
+}
+
+/// Sweeps `view(gate)` along every row of the `2^n × 2^n` matrix `m`
+/// (`M ← M·G_Sᵀ` for `AsIs`). Row `i` occupies the contiguous range
+/// `i·d .. (i+1)·d`, disjoint across rows.
+fn sweep_rows(plan: &GatePlan, gate: &CMat, view: GateView, n: usize, m: &mut CMat) {
+    let d = 1usize << n;
+    sweep_strided(plan, gate, view, m.as_mut_slice(), d, 1, |i| i * d);
 }
 
 /// Applies a `k`-qubit gate to a `2^n` state vector in place:
@@ -282,11 +349,9 @@ fn sweep_strided(
 /// Panics on dimension mismatches or invalid positions.
 pub fn apply_gate_vec(gate: &CMat, positions: &[usize], n: usize, v: &mut CVec) {
     assert_eq!(v.dim(), 1usize << n, "state vector dimension mismatch");
-    validate_positions(positions, n);
-    assert_eq!(gate.rows(), 1usize << positions.len(), "gate size mismatch");
+    validate_gate(gate, positions, n);
     let plan = GatePlan::new(positions, n);
-    let mut gathered = vec![Complex::ZERO; plan.dk];
-    plan.run(gate, v.as_mut_slice(), 0, 1, &mut gathered);
+    sweep_strided(&plan, gate, GateView::AsIs, v.as_mut_slice(), 1, 1, |_| 0);
 }
 
 /// Left-multiplies an embedded gate into every **column** of a `2^n × r`
@@ -297,67 +362,101 @@ pub fn apply_gate_vec(gate: &CMat, positions: &[usize], n: usize, v: &mut CVec) 
 /// represents. Columns are swept in parallel chunks when
 /// [`crate::par::kernel_threads`] > 1 and the sweep is large enough;
 /// results are bitwise identical for every thread count.
+///
+/// # Panics
+///
+/// Panics on dimension mismatches (including a gate that is not
+/// `2^k × 2^k`) or invalid positions.
 pub fn apply_gate_columns(gate: &CMat, positions: &[usize], n: usize, v: &mut CMat) {
-    let d = 1usize << n;
-    assert_eq!(v.rows(), d, "factor height mismatch");
-    validate_positions(positions, n);
-    assert_eq!(gate.rows(), 1usize << positions.len(), "gate size mismatch");
-    let r = v.cols();
-    if r == 0 {
-        return;
-    }
-    let plan = GatePlan::new(positions, n);
-    // Column j occupies indices j + t·r (t < d): disjoint across columns.
-    sweep_strided(&plan, gate, v.as_mut_slice(), r, r, |j| j);
+    sweep_columns(gate, GateView::AsIs, positions, n, v);
+}
+
+/// [`apply_gate_columns`] with the gate's adjoint, `V ← G_S† · V` — the
+/// factored (Unit) rule. `G†` is read from `gate` by index, never
+/// materialised, and the result is bitwise identical to
+/// `apply_gate_columns(&gate.adjoint(), …)`.
+///
+/// # Panics
+///
+/// As [`apply_gate_columns`].
+pub fn apply_gate_columns_adjoint(gate: &CMat, positions: &[usize], n: usize, v: &mut CMat) {
+    sweep_columns(gate, GateView::Adjoint, positions, n, v);
 }
 
 /// Left-multiplies an embedded gate into a `2^n × 2^n` matrix in place:
 /// `M ← G_S · M`. Column-parallel like [`apply_gate_columns`].
+///
+/// # Panics
+///
+/// Panics on dimension mismatches or invalid positions.
 pub fn apply_gate_left(gate: &CMat, positions: &[usize], n: usize, m: &mut CMat) {
-    let d = 1usize << n;
-    assert_eq!(m.rows(), d, "matrix dimension mismatch");
-    assert_eq!(m.cols(), d, "matrix dimension mismatch");
-    validate_positions(positions, n);
-    let plan = GatePlan::new(positions, n);
-    sweep_strided(&plan, gate, m.as_mut_slice(), d, d, |j| j);
+    validate_square(m, n);
+    sweep_columns(gate, GateView::AsIs, positions, n, m);
 }
 
 /// Right-multiplies the adjoint of an embedded gate into a matrix in place:
-/// `M ← M · G_S†`. Row-parallel: row `i` occupies the contiguous range
-/// `i·d .. (i+1)·d`, disjoint across rows.
+/// `M ← M · G_S†`, viewed as a left action of `conj(G)` on each row
+/// (read by index). Row-parallel.
+///
+/// # Panics
+///
+/// Panics on dimension mismatches or invalid positions.
 pub fn apply_gate_right_adjoint(gate: &CMat, positions: &[usize], n: usize, m: &mut CMat) {
-    let d = 1usize << n;
-    assert_eq!(m.rows(), d, "matrix dimension mismatch");
-    assert_eq!(m.cols(), d, "matrix dimension mismatch");
-    validate_positions(positions, n);
-    // row · G† viewed as a left action of conj(G) on the row vector.
-    let gc = gate.conj();
+    validate_square(m, n);
+    validate_gate(gate, positions, n);
     let plan = GatePlan::new(positions, n);
-    sweep_strided(&plan, &gc, m.as_mut_slice(), d, 1, |i| i * d);
+    sweep_rows(&plan, gate, GateView::Conj, n, m);
 }
 
-/// Schrödinger-picture conjugation `M ← G_S · M · G_S†` without
-/// materialising the `2^n` embedding (e.g. `UρU†`). One index plan is
-/// shared by the left and right sweeps; each sweep runs column- (then
-/// row-)parallel with a barrier between them.
-pub fn conjugate_gate(gate: &CMat, positions: &[usize], n: usize, m: &CMat) -> CMat {
+/// `M ← L_S · M · R_S†` where `view_left` gives `L` and `view_right`
+/// gives `conj(R)`: one index plan shared by a column-parallel left
+/// sweep and a row-parallel right sweep, with a barrier between them.
+fn conjugate_views(
+    gate: &CMat,
+    view_left: GateView,
+    view_right: GateView,
+    positions: &[usize],
+    n: usize,
+    m: &CMat,
+) -> CMat {
+    validate_square(m, n);
+    validate_gate(gate, positions, n);
     let d = 1usize << n;
-    assert_eq!(m.rows(), d, "matrix dimension mismatch");
-    assert_eq!(m.cols(), d, "matrix dimension mismatch");
-    validate_positions(positions, n);
     let mut out = m.clone();
     let plan = GatePlan::new(positions, n);
-    sweep_strided(&plan, gate, out.as_mut_slice(), d, d, |j| j);
-    let gc = gate.conj();
-    sweep_strided(&plan, &gc, out.as_mut_slice(), d, 1, |i| i * d);
+    sweep_strided(&plan, gate, view_left, out.as_mut_slice(), d, d, |j| j);
+    sweep_rows(&plan, gate, view_right, n, &mut out);
     out
 }
 
+/// Schrödinger-picture conjugation `M ← G_S · M · G_S†` without
+/// materialising the `2^n` embedding (e.g. `UρU†`).
+///
+/// # Panics
+///
+/// Panics on dimension mismatches or invalid positions.
+pub fn conjugate_gate(gate: &CMat, positions: &[usize], n: usize, m: &CMat) -> CMat {
+    conjugate_views(gate, GateView::AsIs, GateView::Conj, positions, n, m)
+}
+
 /// Heisenberg-picture conjugation `M ← G_S† · M · G_S` (e.g. `U†MU`,
-/// the (Unit) rule of the proof system).
+/// the (Unit) rule of the proof system). The left sweep reads `G†` and
+/// the right sweep `conj(G†) = Gᵀ` by index, so no adjoint is
+/// materialised; the result is bitwise identical to
+/// `conjugate_gate(&gate.adjoint(), …)`.
+///
+/// # Panics
+///
+/// Panics on dimension mismatches or invalid positions.
 pub fn adjoint_conjugate_gate(gate: &CMat, positions: &[usize], n: usize, m: &CMat) -> CMat {
-    let ga = gate.adjoint();
-    conjugate_gate(&ga, positions, n, m)
+    conjugate_views(
+        gate,
+        GateView::Adjoint,
+        GateView::Transpose,
+        positions,
+        n,
+        m,
+    )
 }
 
 /// Partial trace over the qubits in `traced`, returning an operator on the
@@ -624,5 +723,53 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_position_panics() {
         embed(&x(), &[3], 3);
+    }
+
+    // Every public sweep rejects a gate that is not 2^k × 2^k for its k
+    // positions: matrix indexing only bounds-checks the flat offset, so
+    // an unchecked wrong-size gate would be read out of shape silently.
+
+    #[test]
+    #[should_panic(expected = "gate size mismatch")]
+    fn apply_gate_vec_rejects_wrong_size_gate() {
+        apply_gate_vec(&cx(), &[0], 2, &mut CVec::zeros(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "gate size mismatch")]
+    fn apply_gate_columns_rejects_non_square_gate() {
+        let wide = CMat::zeros(2, 4);
+        apply_gate_columns(&wide, &[0], 2, &mut CMat::zeros(4, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "gate size mismatch")]
+    fn apply_gate_columns_adjoint_rejects_wrong_size_gate() {
+        apply_gate_columns_adjoint(&cx(), &[1], 2, &mut CMat::zeros(4, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "gate size mismatch")]
+    fn apply_gate_left_rejects_wrong_size_gate() {
+        apply_gate_left(&CMat::identity(8), &[1], 2, &mut CMat::zeros(4, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "gate size mismatch")]
+    fn apply_gate_right_adjoint_rejects_wrong_size_gate() {
+        apply_gate_right_adjoint(&h(), &[0, 1], 2, &mut CMat::zeros(4, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "gate size mismatch")]
+    fn conjugate_gate_rejects_wrong_size_gate() {
+        conjugate_gate(&CMat::identity(4), &[0], 2, &CMat::identity(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "gate size mismatch")]
+    fn adjoint_conjugate_gate_rejects_non_square_gate() {
+        let tall = CMat::zeros(4, 2);
+        adjoint_conjugate_gate(&tall, &[0, 1], 2, &CMat::identity(4));
     }
 }

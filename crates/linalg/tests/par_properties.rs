@@ -1,10 +1,16 @@
 //! Property tests for the intra-job parallel kernels: every threaded
 //! sweep (gate columns, conjugation, blocked matmul, gram) produces
 //! byte-identical output at thread counts 1, 2 and 7, non-contiguous
-//! footprints included.
+//! footprints included, and every gate sweep that reads its gate through
+//! an index view (adjoint, conjugate, transpose) matches the same sweep
+//! over the materialised matrix bit for bit.
 
-use nqpv_linalg::{adjoint_conjugate_gate, apply_gate_columns, c, conjugate_gate, gram, par, CMat};
+use nqpv_linalg::{
+    adjoint_conjugate_gate, apply_gate_columns, apply_gate_columns_adjoint,
+    apply_gate_right_adjoint, c, conjugate_gate, gram, par, CMat,
+};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::sync::Mutex;
 
 /// Serialises knob-twiddling tests against each other. Other concurrent
@@ -96,6 +102,27 @@ fn gram_reference(a: &CMat, b: &CMat) -> CMat {
     g
 }
 
+/// The top-left `rows × cols` block of `m`.
+fn block(m: &CMat, rows: usize, cols: usize) -> CMat {
+    CMat::from_fn(rows, cols, |i, j| m[(i, j)])
+}
+
+/// `M·G_S†` from an as-is column sweep of the materialised `conj(G)`
+/// over `Mᵀ`: each column of `Mᵀ` is a row of `M`, swept with the same
+/// products in the same order as a row sweep.
+fn right_adjoint_reference(g: &CMat, pos: &[usize], n: usize, m: &CMat) -> CMat {
+    let mut t = m.transpose();
+    apply_gate_columns(&g.conj(), pos, n, &mut t);
+    t.transpose()
+}
+
+/// `G_S·M·G_S†` from as-is column sweeps over materialised gates only.
+fn conjugate_reference(g: &CMat, pos: &[usize], n: usize, m: &CMat) -> CMat {
+    let mut left = m.clone();
+    apply_gate_columns(g, pos, n, &mut left);
+    right_adjoint_reference(g, pos, n, &left)
+}
+
 /// Non-contiguous / reversed 2-qubit footprints on a 4-qubit register.
 const FOOTPRINTS: [[usize; 2]; 4] = [[0, 2], [3, 1], [1, 3], [2, 0]];
 
@@ -157,6 +184,68 @@ proptest! {
         for threads in [1usize, 2, 7] {
             let threaded = with_threads(threads, || gram(&a, &b));
             prop_assert!(bits_eq(&reference, &threaded), "{threads} threads");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn gate_views_match_materialised_gates_bitwise(
+        k in 1usize..=3,
+        extra in 0usize..=3,
+        width in 0usize..=5,
+        keys in proptest::collection::vec(0u32..1000, 6),
+        big_gate in cmat(8, 8),
+        big_op in cmat(64, 64),
+        big_factor in cmat(64, 5),
+    ) {
+        let n = (k + extra).min(6);
+        let (dk, d) = (1usize << k, 1usize << n);
+        // A random, generally non-hermitian gate, so its adjoint, its
+        // conjugate and its transpose are four different matrices.
+        let g = block(&big_gate, dk, dk);
+        prop_assume!(!bits_eq(&g, &g.adjoint()));
+        prop_assume!(!bits_eq(&g, &g.transpose()));
+        prop_assume!(!bits_eq(&g, &g.conj()));
+        // k distinct positions of 0..n in a random order.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&q| (keys[q], q));
+        let pos = &order[..k];
+        let op = block(&big_op, d, d);
+        let factor = block(&big_factor, d, width);
+        let ga = g.adjoint();
+        for threads in [1usize, 4] {
+            with_threads(threads, || -> Result<(), TestCaseError> {
+                let mut viewed = factor.clone();
+                apply_gate_columns_adjoint(&g, pos, n, &mut viewed);
+                let mut copied = factor.clone();
+                apply_gate_columns(&ga, pos, n, &mut copied);
+                prop_assert!(bits_eq(&viewed, &copied), "columns adjoint, {threads} threads");
+
+                let viewed = adjoint_conjugate_gate(&g, pos, n, &op);
+                prop_assert!(
+                    bits_eq(&viewed, &conjugate_gate(&ga, pos, n, &op)),
+                    "adjoint conjugate, {threads} threads"
+                );
+                prop_assert!(
+                    bits_eq(&viewed, &conjugate_reference(&ga, pos, n, &op)),
+                    "adjoint conjugate vs as-is sweeps, {threads} threads"
+                );
+                prop_assert!(
+                    bits_eq(&conjugate_gate(&g, pos, n, &op), &conjugate_reference(&g, pos, n, &op)),
+                    "conjugate, {threads} threads"
+                );
+
+                let mut viewed = op.clone();
+                apply_gate_right_adjoint(&g, pos, n, &mut viewed);
+                prop_assert!(
+                    bits_eq(&viewed, &right_adjoint_reference(&g, pos, n, &op)),
+                    "right adjoint, {threads} threads"
+                );
+                Ok(())
+            })?;
         }
     }
 }

@@ -396,12 +396,7 @@ impl SuperOp {
         let mut out = CMat::zeros(self.dim, r * self.kraus.len());
         for (b, k) in self.kraus.iter().enumerate() {
             let mut block = v.clone();
-            nqpv_linalg::apply_gate_columns(
-                &k.adjoint(),
-                &self.positions,
-                self.n_qubits,
-                &mut block,
-            );
+            nqpv_linalg::apply_gate_columns_adjoint(k, &self.positions, self.n_qubits, &mut block);
             for i in 0..self.dim {
                 for j in 0..r {
                     out[(i, b * r + j)] = block[(i, j)];

@@ -6,7 +6,7 @@
 use nqpv::core::casestudies::qwalk_invariant;
 use nqpv::core::{Session, SessionError};
 use nqpv::linalg::write_matrix;
-use nqpv::service::json::Json;
+use nqpv::service::json::{n, obj, Json};
 use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -424,6 +424,117 @@ fn cli_explain_turns_rejections_into_witnesses() {
         json.contains("\"schedule\":[{\"index\":0,\"branch\":\"right\"}]"),
         "{json}"
     );
+}
+
+/// The first proof's counterexample from `explain --json FILE`, which
+/// must exit 1 (rejected).
+fn explain_counterexample(file: &str) -> Option<Json> {
+    let out = run_nqpv(&["explain", file, "--json"])?;
+    assert_eq!(out.status.code(), Some(1), "{file}");
+    let report = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("explain JSON parses");
+    let proof = &report.get("proofs").and_then(Json::as_arr).expect("proofs")[0];
+    Some(proof.get("counterexample").expect("counterexample").clone())
+}
+
+/// The witness amplitudes `[[re, im], …]` of a counterexample as
+/// `(re, im)` pairs.
+fn witness_amplitudes(cex: &Json) -> Vec<(f64, f64)> {
+    cex.get("witness")
+        .and_then(|w| w.get("amplitudes"))
+        .and_then(Json::as_arr)
+        .expect("witness amplitudes")
+        .iter()
+        .map(|a| {
+            let a = a.as_arr().expect("[re, im]");
+            (a[0].as_f64().unwrap(), a[1].as_f64().unwrap())
+        })
+        .collect()
+}
+
+fn num(cex: &Json, key: &str) -> f64 {
+    cex.get(key).and_then(Json::as_f64).expect(key)
+}
+
+fn flag(cex: &Json, key: &str) -> bool {
+    cex.get(key).and_then(Json::as_bool).expect(key)
+}
+
+#[test]
+fn cli_explain_json_gap_rederives_from_the_witness() {
+    // The reported replay gap is tr(Θρ) − tr(Ψ·⟦S⟧(ρ)) under the reported
+    // scheduler. Recompute it from the JSON witness amplitudes alone.
+    let norm = |(re, im): (f64, f64)| re * re + im * im;
+
+    // rejected.nqpv: {P1} [q] *= H {P0}, so gap = |v₁|² − |(v₀+v₁)/√2|².
+    let Some(cex) = explain_counterexample("examples/corpus/rejected.nqpv") else {
+        return;
+    };
+    assert!(flag(&cex, "confirmed") && flag(&cex, "exhaustive"), "{cex}");
+    let v = witness_amplitudes(&cex);
+    let s = std::f64::consts::FRAC_1_SQRT_2;
+    let hv0 = (s * (v[0].0 + v[1].0), s * (v[0].1 + v[1].1));
+    let gap = norm(v[1]) - norm(hv0);
+    assert!((gap - num(&cex, "gap")).abs() < 1e-6, "{gap} vs {cex}");
+    assert!(num(&cex, "gap") >= 1e-6, "{cex}");
+    assert!(
+        (num(&cex, "gap") - num(&cex, "solver_margin")).abs() < 1e-6,
+        "{cex}"
+    );
+    assert_eq!(cex.get("schedule"), Some(&Json::Arr(vec![])), "{cex}");
+
+    // rejected_ndet.nqpv: {P0} (skip # X) {P0}. The demon takes the right
+    // branch, so gap = |v₀|² − |(Xv)₀|² = |v₀|² − |v₁|².
+    let cex = explain_counterexample("examples/corpus/rejected_ndet.nqpv").unwrap();
+    assert!(flag(&cex, "confirmed") && flag(&cex, "exhaustive"), "{cex}");
+    let right = obj(vec![
+        ("index", n(0.0)),
+        ("branch", Json::Str("right".into())),
+    ]);
+    assert_eq!(cex.get("schedule"), Some(&Json::Arr(vec![right])), "{cex}");
+    let v = witness_amplitudes(&cex);
+    let gap = norm(v[0]) - norm(v[1]);
+    assert!((gap - num(&cex, "gap")).abs() < 1e-6, "{gap} vs {cex}");
+    assert!(
+        (num(&cex, "gap") - num(&cex, "solver_margin")).abs() < 1e-6,
+        "{cex}"
+    );
+
+    // Verified files carry no counterexample.
+    let ok = run_nqpv(&["explain", "examples/corpus/grover_step.nqpv", "--json"]).unwrap();
+    assert_eq!(ok.status.code(), Some(0));
+    let ok = Json::parse(&String::from_utf8_lossy(&ok.stdout)).expect("explain JSON parses");
+    for proof in ok.get("proofs").and_then(Json::as_arr).expect("proofs") {
+        assert!(flag(proof, "verified"), "{proof}");
+        assert!(proof.get("counterexample").is_none(), "{proof}");
+    }
+
+    // `batch --explain` attaches confirmed counterexamples to exactly the
+    // rejected jobs.
+    let batch = run_nqpv(&[
+        "batch",
+        "examples/corpus",
+        "--jobs",
+        "2",
+        "--explain",
+        "--json",
+    ])
+    .unwrap();
+    assert_eq!(batch.status.code(), Some(1));
+    let report = Json::parse(&String::from_utf8_lossy(&batch.stdout)).expect("batch JSON parses");
+    let jobs = report.get("jobs").and_then(Json::as_arr).expect("jobs");
+    let mut rejected = 0;
+    for job in jobs {
+        let cexs = job.get("counterexamples");
+        if job.get("status").and_then(Json::as_str) == Some("rejected") {
+            rejected += 1;
+            let cexs = cexs.and_then(Json::as_arr).expect("counterexamples");
+            assert!(!cexs.is_empty(), "{job}");
+            assert!(cexs.iter().all(|c| flag(c, "confirmed")), "{job}");
+        } else {
+            assert!(cexs.is_none(), "{job}");
+        }
+    }
+    assert_eq!(rejected, 2, "{report}");
 }
 
 #[test]
