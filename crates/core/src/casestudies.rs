@@ -13,8 +13,8 @@
 
 use crate::ranking::RankingCertificate;
 use crate::transformer::{Mode, VcOptions};
-use crate::verifier::{verify_proof_term, VerifyOutcome};
-use crate::{PredicateRegistry, VerifError};
+use crate::verifier::{verify_proof_term_with, VerifyOutcome};
+use crate::{render_proof, PredicateRegistry, VerifError};
 use nqpv_lang::{parse_proof_body, ProofTerm};
 use nqpv_linalg::{CMat, CVec};
 use nqpv_quantum::{gates, ket, OperatorLibrary};
@@ -57,13 +57,18 @@ impl CaseStudy {
     ///
     /// Propagates verification errors.
     pub fn verify_with(&self, opts: VcOptions) -> Result<VerifyOutcome, VerifError> {
-        let mut registry = PredicateRegistry::new();
-        verify_proof_term(
+        verify_proof_term_with(&self.term, &self.library, opts, &self.rankings, None)
+    }
+
+    /// The proof outline of `outcome` (a result of verifying this study),
+    /// as the tool's `show` prints it.
+    pub fn outline(&self, outcome: &VerifyOutcome) -> String {
+        render_proof(
             &self.term,
             &self.library,
-            opts,
-            &self.rankings,
-            &mut registry,
+            outcome,
+            &mut PredicateRegistry::new(),
+            nqpv_telemetry::Tracer::DISABLED,
         )
     }
 }

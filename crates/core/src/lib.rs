@@ -10,8 +10,9 @@
 //!   with loop invariants and [`RankingCertificate`]s (Def. 4.3);
 //! * [`proof`] — explicit proof objects for the Hoare logic of Fig. 3 with
 //!   a side-condition checker (soundness enforced numerically);
-//! * [`verify_proof_term`] — the NQPV verifier: parse-bind-verify with
-//!   proof-outline generation and the `show` registry;
+//! * [`verify_proof_term`] — the NQPV verifier: parse-bind-verify into
+//!   an annotated proof tree, which [`render_proof`] names and renders
+//!   as the tool's proof outline on demand;
 //! * [`casestudies`] — the paper's Sec. 5 examples (QEC, Deutsch, QWalk),
 //!   Grover for the Sec. 6.5 scaling study, and a repeat-until-success
 //!   total-correctness example.
@@ -38,7 +39,9 @@ pub use cache::{
     VERDICT_TAG_INF, VERDICT_TAG_SUP,
 };
 pub use error::VerifError;
-pub use outline::{render_assertion, render_matrix, render_outline, PredicateRegistry};
+pub use outline::{
+    render_assertion, render_matrix, render_outline, render_proof, PredicateRegistry,
+};
 pub use ranking::{check_ranking, RankingCertificate};
 pub use session::{Session, SessionError};
 pub use transformer::{

@@ -4,11 +4,18 @@
 //! pre- and postconditions", naming freshly computed predicates `VAR0`,
 //! `VAR1`, … (paper Sec. 6.2); `show NAME end` then prints the matrix.
 //! [`PredicateRegistry`] owns the fingerprint→name map and the matrices;
-//! [`render_outline`] produces the annotated listing.
+//! [`render_outline`] produces the annotated listing, and [`render_proof`]
+//! names and renders one verified proof the way `show` prints it.
+//! Verification itself never names a predicate: only callers that show
+//! an outline pay for it.
 
-use crate::assertion::Predicate;
+use crate::assertion::{Assertion, Predicate};
 use crate::transformer::{Annotated, AnnotatedNode};
+use crate::verifier::{VerifyOutcome, VerifyStatus};
+use nqpv_lang::{pretty_assertion, AssertionExpr, ProofTerm, Stmt};
 use nqpv_linalg::{CMat, Complex};
+use nqpv_quantum::{OperatorLibrary, Register};
+use nqpv_telemetry::{Phase, Tracer};
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::Arc;
@@ -259,11 +266,6 @@ impl PredicateRegistry {
     pub fn matrix(&self, name: &str) -> Option<&CMat> {
         self.matrices.get(name).map(|p| p.dense())
     }
-
-    /// All registered display names (unordered).
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.matrices.keys().map(String::as_str)
-    }
 }
 
 /// Renders an assertion as `{ name1 name2 … }` using (and extending) the
@@ -289,15 +291,144 @@ pub fn render_outline(
     post_display: &str,
     registry: &mut PredicateRegistry,
 ) -> String {
+    outline_text(
+        qubits,
+        user_pre,
+        &ann.pre,
+        &ann.node,
+        post_display,
+        registry,
+    )
+}
+
+/// Names and renders one verified proof exactly as `show` prints it: the
+/// outline, plus the `Error:` / `Warning:` block of a rejected or
+/// unresolved proof. `lib` must bind the proof's operators as they stood
+/// when it was verified.
+///
+/// Naming follows the tool's order: the post-, then the precondition,
+/// then the statements' cut assertions and invariants are registered
+/// under their source names; then the violated VC (if any) and the outline
+/// allocate `VARk` names. A session shares one registry across its proofs
+/// and must render them in execution order for stable `VARk` numbering.
+pub fn render_proof(
+    term: &ProofTerm,
+    lib: &OperatorLibrary,
+    outcome: &VerifyOutcome,
+    registry: &mut PredicateRegistry,
+    tracer: Tracer,
+) -> String {
+    let _span = tracer.span(Phase::Other, "outline");
+    if let Ok(reg) = Register::new(&term.qubits) {
+        register_expr(&term.post, lib, &reg, registry);
+        if let Some(pre) = &term.pre {
+            register_expr(pre, lib, &reg, registry);
+        }
+        register_stmt_assertions(&term.body, lib, &reg, registry);
+    }
+    let pre_display = term.pre.as_ref().map(pretty_assertion);
+    let suffix = match &outcome.status {
+        VerifyStatus::Verified => String::new(),
+        VerifyStatus::PreconditionViolated { violation } => format!(
+            "\nError:\n  Order relation not satisfied:\n  {} <= {}\n  (violation margin {:.3e})\n",
+            pre_display.as_deref().unwrap_or_default(),
+            render_assertion(&outcome.computed_pre, registry, &term.qubits.join(" ")),
+            violation.margin
+        ),
+        VerifyStatus::Unresolved { details } => format!("\nWarning: {details}\n"),
+    };
+    let mut text = outline_text(
+        &term.qubits,
+        pre_display.as_deref(),
+        &outcome.computed_pre,
+        &outcome.body,
+        &pretty_assertion(&term.post),
+        registry,
+    );
+    text.push_str(&suffix);
+    text
+}
+
+/// Registers the embedded matrix of each term of a source assertion under
+/// its display name (`op[q̄]`), so the outline shows it instead of `VAR*`.
+fn register_expr(
+    expr: &AssertionExpr,
+    lib: &OperatorLibrary,
+    reg: &Register,
+    registry: &mut PredicateRegistry,
+) {
+    for term in &expr.terms {
+        let (Ok(m), Ok(pos)) = (lib.predicate(&term.op), reg.positions(&term.qubits)) else {
+            continue;
+        };
+        if m.rows() == 1 << pos.len() {
+            let embedded = nqpv_linalg::embed(&m, &pos, reg.n_qubits());
+            registry.register_named(
+                &format!("{}[{}]", term.op, term.qubits.join(" ")),
+                &embedded,
+            );
+        }
+    }
+}
+
+/// [`register_expr`] for every cut assertion and invariant inside a
+/// statement, in source order.
+fn register_stmt_assertions(
+    stmt: &Stmt,
+    lib: &OperatorLibrary,
+    reg: &Register,
+    registry: &mut PredicateRegistry,
+) {
+    match stmt {
+        Stmt::Assert(a) => register_expr(a, lib, reg, registry),
+        Stmt::Seq(items) => {
+            for s in items {
+                register_stmt_assertions(s, lib, reg, registry);
+            }
+        }
+        Stmt::NDet(a, b) => {
+            register_stmt_assertions(a, lib, reg, registry);
+            register_stmt_assertions(b, lib, reg, registry);
+        }
+        Stmt::If {
+            then_branch,
+            else_branch,
+            ..
+        } => {
+            register_stmt_assertions(then_branch, lib, reg, registry);
+            register_stmt_assertions(else_branch, lib, reg, registry);
+        }
+        Stmt::While {
+            invariant, body, ..
+        } => {
+            if let Some(inv) = invariant {
+                register_expr(inv, lib, reg, registry);
+            }
+            register_stmt_assertions(body, lib, reg, registry);
+        }
+        _ => {}
+    }
+}
+
+/// The outline of a proof whose root precondition (the VC) and statement
+/// tree are held apart.
+fn outline_text(
+    qubits: &[String],
+    user_pre: Option<&str>,
+    vc: &Assertion,
+    body: &AnnotatedNode,
+    post_display: &str,
+    registry: &mut PredicateRegistry,
+) -> String {
     let register_display = qubits.join(" ");
     let mut out = String::new();
     let _ = writeln!(out, "proof [{register_display}] :");
     if let Some(pre) = user_pre {
         let _ = writeln!(out, "  {pre};");
     }
-    let vc = render_assertion(&ann.pre, registry, &register_display);
-    let _ = writeln!(out, "  {vc}; // the Veri. Con.");
-    render_node(&mut out, ann, 1, registry, &register_display, false);
+    let vc_text = render_assertion(vc, registry, &register_display);
+    let _ = writeln!(out, "  {vc_text}; // the Veri. Con.");
+    render_node(&mut out, vc, body, 1, registry, &register_display);
     let _ = writeln!(out, ";\n  {post_display}");
     out
 }
@@ -308,23 +439,33 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-/// Renders a node; `with_pre` controls whether the node's own computed
-/// precondition is printed before it (sequence items print their own).
-fn render_node(
+/// Renders a nested statement, its computed precondition first.
+fn render_annotated(
     out: &mut String,
     ann: &Annotated,
     depth: usize,
     registry: &mut PredicateRegistry,
     reg_disp: &str,
-    with_pre: bool,
 ) {
-    if with_pre {
-        let pre = render_assertion(&ann.pre, registry, reg_disp);
-        indent(out, depth);
-        out.push_str(&pre);
-        out.push_str(";\n");
-    }
-    match &ann.node {
+    let pre = render_assertion(&ann.pre, registry, reg_disp);
+    indent(out, depth);
+    out.push_str(&pre);
+    out.push_str(";\n");
+    render_node(out, &ann.pre, &ann.node, depth, registry, reg_disp);
+}
+
+/// Renders a statement whose computed precondition `pre` is printed by
+/// the caller (or, for the first item of a sequence, by the enclosing
+/// statement).
+fn render_node(
+    out: &mut String,
+    pre: &Assertion,
+    node: &AnnotatedNode,
+    depth: usize,
+    registry: &mut PredicateRegistry,
+    reg_disp: &str,
+) {
+    match node {
         AnnotatedNode::Skip => {
             indent(out, depth);
             out.push_str("skip");
@@ -335,7 +476,7 @@ fn render_node(
         }
         AnnotatedNode::Assert => {
             indent(out, depth);
-            let a = render_assertion(&ann.pre, registry, reg_disp);
+            let a = render_assertion(pre, registry, reg_disp);
             out.push_str(&a);
         }
         AnnotatedNode::Init { qubits } => {
@@ -351,17 +492,21 @@ fn render_node(
                 if i > 0 {
                     out.push_str(";\n");
                 }
-                render_node(out, item, depth, registry, reg_disp, i > 0);
+                if i > 0 {
+                    render_annotated(out, item, depth, registry, reg_disp);
+                } else {
+                    render_node(out, &item.pre, &item.node, depth, registry, reg_disp);
+                }
             }
         }
         AnnotatedNode::NDet(a, b) => {
             indent(out, depth);
             out.push_str("(\n");
-            render_node(out, a, depth + 1, registry, reg_disp, true);
+            render_annotated(out, a, depth + 1, registry, reg_disp);
             out.push('\n');
             indent(out, depth);
             out.push_str("#\n");
-            render_node(out, b, depth + 1, registry, reg_disp, true);
+            render_annotated(out, b, depth + 1, registry, reg_disp);
             out.push('\n');
             indent(out, depth);
             out.push(')');
@@ -374,11 +519,11 @@ fn render_node(
         } => {
             indent(out, depth);
             let _ = writeln!(out, "if {}[{}] then", meas, qubits.join(" "));
-            render_node(out, then_branch, depth + 1, registry, reg_disp, true);
+            render_annotated(out, then_branch, depth + 1, registry, reg_disp);
             out.push('\n');
             indent(out, depth);
             out.push_str("else\n");
-            render_node(out, else_branch, depth + 1, registry, reg_disp, true);
+            render_annotated(out, else_branch, depth + 1, registry, reg_disp);
             out.push('\n');
             indent(out, depth);
             out.push_str("end");
@@ -399,7 +544,7 @@ fn render_node(
             );
             indent(out, depth);
             let _ = writeln!(out, "while {}[{}] do", meas, qubits.join(" "));
-            render_node(out, body, depth + 1, registry, reg_disp, true);
+            render_annotated(out, body, depth + 1, registry, reg_disp);
             out.push('\n');
             indent(out, depth);
             out.push_str("end");
@@ -415,7 +560,6 @@ pub fn render_matrix(name: &str, m: &CMat) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assertion::Assertion;
     use nqpv_linalg::CVec;
 
     #[test]

@@ -4,11 +4,11 @@
 
 use crate::cache::TransformerCache;
 use crate::error::VerifError;
-use crate::outline::{render_matrix, PredicateRegistry};
+use crate::outline::{render_matrix, render_proof, PredicateRegistry};
 use crate::ranking::RankingCertificate;
 use crate::transformer::VcOptions;
 use crate::verifier::{verify_proof_term_with, VerifyOutcome};
-use nqpv_lang::{parse_source, Command, Decl, SourceFile};
+use nqpv_lang::{parse_source, Command, Decl, ProofTerm, SourceFile};
 use nqpv_quantum::OperatorLibrary;
 use std::collections::HashMap;
 use std::fmt;
@@ -62,6 +62,13 @@ impl SessionError {
 
 /// An interactive-style NQPV session.
 ///
+/// Proof outlines are rendered only when something shows them. Verified
+/// proofs wait, unnamed, in execution order; the first `show` after them
+/// names their predicates and renders their outlines in that order, as
+/// does any change to the library that could rebind a name they use. So
+/// `VARk` numbering is the same as if every proof had been named as it
+/// ran, and a session that shows nothing (a batch job) names nothing.
+///
 /// # Examples
 ///
 /// ```
@@ -76,7 +83,12 @@ impl SessionError {
 pub struct Session {
     lib: OperatorLibrary,
     registry: PredicateRegistry,
-    outcomes: HashMap<String, VerifyOutcome>,
+    outcomes: HashMap<String, Arc<VerifyOutcome>>,
+    /// Rendered outlines of named proofs, by proof name.
+    outlines: HashMap<String, String>,
+    /// Verified proofs not yet named, in execution order (shadowed
+    /// duplicates included: their names still count).
+    unnamed: Vec<(String, ProofTerm, Arc<VerifyOutcome>)>,
     rankings: HashMap<String, HashMap<usize, RankingCertificate>>,
     opts: VcOptions,
     base_dir: PathBuf,
@@ -91,6 +103,8 @@ impl fmt::Debug for Session {
             .field("lib", &self.lib)
             .field("registry", &self.registry)
             .field("outcomes", &self.outcomes)
+            .field("outlines", &self.outlines)
+            .field("unnamed", &self.unnamed)
             .field("rankings", &self.rankings)
             .field("opts", &self.opts)
             .field("base_dir", &self.base_dir)
@@ -115,6 +129,8 @@ impl Session {
             lib: OperatorLibrary::with_builtins(),
             registry: PredicateRegistry::new(),
             outcomes: HashMap::new(),
+            outlines: HashMap::new(),
+            unnamed: Vec::new(),
             rankings: HashMap::new(),
             opts: VcOptions::default(),
             base_dir: PathBuf::from("."),
@@ -145,8 +161,10 @@ impl Session {
     }
 
     /// Mutable access to the operator library (to pre-register operators
-    /// programmatically, as tests and examples do).
+    /// programmatically, as tests and examples do). Names the pending
+    /// proofs first, against the library they were verified with.
     pub fn library_mut(&mut self) -> &mut OperatorLibrary {
+        self.name_pending();
         &mut self.lib
     }
 
@@ -184,6 +202,11 @@ impl Session {
                     let full = self.base_dir.join(path);
                     let m = nqpv_linalg::read_matrix(&full)
                         .map_err(|e| SessionError::Npy(path.clone(), e))?;
+                    if self.lib.get(name).is_some() {
+                        // A rebinding: pending proofs must be named
+                        // against the operator they were verified with.
+                        self.name_pending();
+                    }
                     self.lib
                         .insert_auto(name, m)
                         .map_err(SessionError::Library)?;
@@ -207,7 +230,6 @@ impl Session {
                         &self.lib,
                         self.opts,
                         rankings,
-                        &mut self.registry,
                         self.cache.as_deref(),
                     )
                     .map_err(|error| SessionError::Verify {
@@ -216,6 +238,9 @@ impl Session {
                     })?;
                     self.proof_log
                         .push((name.clone(), outcome.status.verified()));
+                    let outcome = Arc::new(outcome);
+                    self.unnamed
+                        .push((name.clone(), term.clone(), outcome.clone()));
                     self.outcomes.insert(name.clone(), outcome);
                 }
                 Command::Show(name) => {
@@ -232,19 +257,10 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`SessionError::UnknownShow`] for unresolved names.
-    pub fn show(&self, name: &str) -> Result<String, SessionError> {
-        if let Some(outcome) = self.outcomes.get(name) {
-            let mut text = outcome.outline.clone();
-            match &outcome.status {
-                crate::verifier::VerifyStatus::Verified => {}
-                crate::verifier::VerifyStatus::PreconditionViolated { details, .. } => {
-                    text.push_str(&format!("\nError:\n  {details}\n"));
-                }
-                crate::verifier::VerifyStatus::Unresolved { details } => {
-                    text.push_str(&format!("\nWarning: {details}\n"));
-                }
-            }
-            return Ok(text);
+    pub fn show(&mut self, name: &str) -> Result<String, SessionError> {
+        self.name_pending();
+        if let Some(text) = self.outlines.get(name) {
+            return Ok(text.clone());
         }
         if let Some(m) = self.registry.matrix(name) {
             return Ok(render_matrix(name, m));
@@ -266,7 +282,7 @@ impl Session {
     /// With duplicate `def` names, later proofs shadow earlier ones;
     /// [`Session::proof_verdicts`] keeps every run in order.
     pub fn outcome(&self, name: &str) -> Option<&VerifyOutcome> {
-        self.outcomes.get(name)
+        self.outcomes.get(name).map(|o| &**o)
     }
 
     /// Every proof this session has verified, in execution order, with
@@ -282,9 +298,25 @@ impl Session {
         &self.output
     }
 
-    /// The predicate registry (for `show VARk`-style queries).
-    pub fn registry(&self) -> &PredicateRegistry {
-        &self.registry
+    /// Names the predicates of every pending proof in execution order,
+    /// keeping the outline of each proof its name still refers to.
+    fn name_pending(&mut self) {
+        for (name, term, outcome) in std::mem::take(&mut self.unnamed) {
+            let text = render_proof(
+                &term,
+                &self.lib,
+                &outcome,
+                &mut self.registry,
+                self.opts.tracer,
+            );
+            if self
+                .outcomes
+                .get(&name)
+                .is_some_and(|o| Arc::ptr_eq(o, &outcome))
+            {
+                self.outlines.insert(name, text);
+            }
+        }
     }
 }
 
@@ -304,7 +336,7 @@ mod tests {
 
     #[test]
     fn show_library_operators_and_measurements() {
-        let s = Session::new();
+        let mut s = Session::new();
         assert!(s.show("H").unwrap().contains("0.7071"));
         let m01 = s.show("M01").unwrap();
         assert!(m01.contains("M01.P0"));
@@ -346,5 +378,23 @@ mod tests {
             .unwrap();
         assert!(!s.outcome("pf").unwrap().status.verified());
         assert!(s.output()[0].contains("Order relation not satisfied"));
+    }
+
+    #[test]
+    fn pending_proofs_are_named_before_the_library_changes() {
+        // `pf` is verified against the built-in P1 = |1⟩⟨1|. Rebinding P1
+        // afterwards must not change how `pf`'s predicates are named.
+        let mut s = Session::new();
+        s.run_str("def pf := proof [q] : { P0[q] }; [q] *= X; { P1[q] } end")
+            .unwrap();
+        let half = nqpv_linalg::CMat::identity(2).scale_re(0.5);
+        s.library_mut().insert_predicate("P1", half).unwrap();
+        let outline = s.show("pf").unwrap();
+        assert!(
+            outline.contains("{ P0[q] }; // the Veri. Con."),
+            "{outline}"
+        );
+        let p1 = s.show("P1").unwrap();
+        assert!(p1.contains("[0.0000, 0.0000]\n[0.0000, 1.0000]"), "{p1}");
     }
 }

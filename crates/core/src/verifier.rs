@@ -1,18 +1,20 @@
 //! The NQPV verifier: binds a proof term against an operator library,
-//! runs the backward pass, and produces the annotated proof outline.
+//! runs the backward pass, and returns the annotated proof tree.
 //!
 //! This reproduces the Sec. 6.2 workflow: "after successfully parsing the
 //! input, NQPV inductively constructs proofs … The strategy is to calculate
 //! the weakest preconditions in the backward direction … In the end, the
 //! assistant compares the verification condition and the precondition
-//! proposed by the user and then generates the final result."
+//! proposed by the user and then generates the final result." Naming the
+//! predicates and rendering the outline text is left to
+//! [`crate::render_proof`], for the callers that show it.
 
 use crate::assertion::Assertion;
 use crate::error::VerifError;
-use crate::outline::{render_assertion, render_outline, PredicateRegistry};
+use crate::outline::PredicateRegistry;
 use crate::ranking::RankingCertificate;
-use crate::transformer::VcOptions;
-use nqpv_lang::{AssertionExpr, ProofTerm, Stmt};
+use crate::transformer::{AnnotatedNode, VcOptions};
+use nqpv_lang::{AssertionExpr, ProofTerm};
 use nqpv_quantum::{OperatorLibrary, Register};
 use nqpv_solver::Verdict;
 use nqpv_telemetry::Phase;
@@ -44,9 +46,9 @@ pub enum VerifyStatus {
     /// precondition it computed, Sec. 6.1).
     Verified,
     /// `pre ⊑_inf VC` failed: the correctness formula is rejected.
+    /// [`crate::render_proof`] renders it as the tool's "Order relation
+    /// not satisfied" message.
     PreconditionViolated {
-        /// Rendered diagnostic (the tool's "Order relation not satisfied").
-        details: String,
         /// The structured violation evidence (obligation index, witness
         /// state, margin).
         violation: FailedObligation,
@@ -71,14 +73,19 @@ pub struct VerifyOutcome {
     /// Whether the correctness formula was established.
     pub status: VerifyStatus,
     /// The computed verification condition (weakest precondition when no
-    /// loops intervene; invariant-derived otherwise).
+    /// loops intervene; invariant-derived otherwise): the precondition at
+    /// the root of the annotated proof.
     pub computed_pre: Assertion,
-    /// The annotated proof outline, in the tool's output format.
-    pub outline: String,
+    /// The annotated statement tree under the root; every nested node
+    /// carries its own computed precondition.
+    pub body: AnnotatedNode,
 }
 
-/// Verifies a proof term, extending `registry` with every predicate that
-/// appears (user-supplied and generated `VAR*`).
+/// Verifies a proof term.
+///
+/// `_registry` is unused: verification names no predicates (see
+/// [`crate::render_proof`]). The argument stays because the benchmark
+/// under `perfbench/` calls this signature.
 ///
 /// # Errors
 ///
@@ -93,9 +100,9 @@ pub fn verify_proof_term(
     lib: &OperatorLibrary,
     opts: VcOptions,
     rankings: &HashMap<usize, RankingCertificate>,
-    registry: &mut PredicateRegistry,
+    _registry: &mut PredicateRegistry,
 ) -> Result<VerifyOutcome, VerifError> {
-    verify_proof_term_with(term, lib, opts, rankings, registry, None)
+    verify_proof_term_with(term, lib, opts, rankings, None)
 }
 
 /// [`verify_proof_term`] with an optional memo cache threaded through to
@@ -110,26 +117,17 @@ pub fn verify_proof_term_with(
     lib: &OperatorLibrary,
     opts: VcOptions,
     rankings: &HashMap<usize, RankingCertificate>,
-    registry: &mut PredicateRegistry,
     cache: Option<&dyn crate::cache::TransformerCache>,
 ) -> Result<VerifyOutcome, VerifError> {
     let reg = Register::new(&term.qubits)?;
-    // Resolve and name the user-facing assertions (rank detection per
+    // Resolve the user-facing assertions (rank detection per
     // `opts.factor_assertions`).
     let (post, pre) = {
         let _span = opts.tracer.span(Phase::Other, "resolve");
-        let post = resolve_user_assertion(&term.post, lib, &reg, registry, opts.factor_assertions)?;
-        let pre = match &term.pre {
-            Some(expr) => Some(resolve_user_assertion(
-                expr,
-                lib,
-                &reg,
-                registry,
-                opts.factor_assertions,
-            )?),
-            None => None,
-        };
-        register_stmt_assertions(&term.body, lib, &reg, registry);
+        let resolve =
+            |expr: &AssertionExpr| resolve_user_assertion(expr, lib, &reg, opts.factor_assertions);
+        let post = resolve(&term.post)?;
+        let pre = term.pre.as_ref().map(resolve).transpose()?;
         (post, pre)
     };
 
@@ -145,12 +143,6 @@ pub fn verify_proof_term_with(
         Some(p) => match p.le_inf_cached(&ann.pre, opts.lowner, cache)? {
             Verdict::Holds => VerifyStatus::Verified,
             Verdict::Violated(v) => VerifyStatus::PreconditionViolated {
-                details: format!(
-                    "Order relation not satisfied:\n  {} <= {}\n  (violation margin {:.3e})",
-                    render_expr(&term.post, term.pre.as_ref()),
-                    render_assertion(&ann.pre.clone(), registry, &term.qubits.join(" ")),
-                    v.margin
-                ),
                 violation: FailedObligation {
                     vc_index: v.index,
                     witness: v.witness,
@@ -162,43 +154,18 @@ pub fn verify_proof_term_with(
             },
         },
     };
-
-    let outline = {
-        let _span = opts.tracer.span(Phase::Other, "outline");
-        let pre_display = term.pre.as_ref().map(render_assertion_expr);
-        render_outline(
-            &term.qubits,
-            pre_display.as_deref(),
-            &ann,
-            &render_assertion_expr(&term.post),
-            registry,
-        )
-    };
     Ok(VerifyOutcome {
         status,
         computed_pre: ann.pre,
-        outline,
+        body: ann.node,
     })
 }
 
-fn render_assertion_expr(expr: &AssertionExpr) -> String {
-    nqpv_lang::pretty_assertion(expr)
-}
-
-fn render_expr(post: &AssertionExpr, pre: Option<&AssertionExpr>) -> String {
-    match pre {
-        Some(p) => render_assertion_expr(p),
-        None => render_assertion_expr(post),
-    }
-}
-
-/// Resolves a user assertion and registers each term's embedded matrix
-/// under its source display name.
+/// Resolves a user assertion and checks its operators lie in `0 ⊑ M ⊑ I`.
 fn resolve_user_assertion(
     expr: &AssertionExpr,
     lib: &OperatorLibrary,
     reg: &Register,
-    registry: &mut PredicateRegistry,
     factor: bool,
 ) -> Result<Assertion, VerifError> {
     let a = Assertion::from_expr_with(expr, lib, reg, factor)?;
@@ -207,69 +174,7 @@ fn resolve_user_assertion(
             details: "assertion contains operators outside 0 ⊑ M ⊑ I".into(),
         });
     }
-    register_expr(expr, lib, reg, registry);
     Ok(a)
-}
-
-/// Registers the embedded matrices of every assertion expression appearing
-/// inside a statement (invariants and cut assertions), so the outline shows
-/// source names instead of `VAR*`.
-fn register_stmt_assertions(
-    stmt: &Stmt,
-    lib: &OperatorLibrary,
-    reg: &Register,
-    registry: &mut PredicateRegistry,
-) {
-    match stmt {
-        Stmt::Assert(a) => register_expr(a, lib, reg, registry),
-        Stmt::Seq(items) => {
-            for s in items {
-                register_stmt_assertions(s, lib, reg, registry);
-            }
-        }
-        Stmt::NDet(a, b) => {
-            register_stmt_assertions(a, lib, reg, registry);
-            register_stmt_assertions(b, lib, reg, registry);
-        }
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            register_stmt_assertions(then_branch, lib, reg, registry);
-            register_stmt_assertions(else_branch, lib, reg, registry);
-        }
-        Stmt::While {
-            invariant, body, ..
-        } => {
-            if let Some(inv) = invariant {
-                register_expr(inv, lib, reg, registry);
-            }
-            register_stmt_assertions(body, lib, reg, registry);
-        }
-        _ => {}
-    }
-}
-
-fn register_expr(
-    expr: &AssertionExpr,
-    lib: &OperatorLibrary,
-    reg: &Register,
-    registry: &mut PredicateRegistry,
-) {
-    for term in &expr.terms {
-        if let Ok(m) = lib.predicate(&term.op) {
-            if let Ok(pos) = reg.positions(&term.qubits) {
-                if m.rows() == (1usize << pos.len()) {
-                    let embedded = nqpv_linalg::embed(&m, &pos, reg.n_qubits());
-                    registry.register_named(
-                        &format!("{}[{}]", term.op, term.qubits.join(" ")),
-                        &embedded,
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -302,34 +207,23 @@ mod tests {
         { Zero[q1] }";
 
     #[test]
-    fn resolve_and_outline_spans_sit_outside_every_wp_span() {
-        // Assertion resolution and outline rendering get spans of their
-        // own, so a trace attributes them instead of leaving them between
-        // the wp spans. Both brackets must close before the first wp span
-        // opens, or open after the last one closes.
+    fn show_renders_the_outline_once_after_every_wp_span() {
+        // Verification names no predicates; `show` renders the outline
+        // under its own span, after the backward pass has finished.
         let tracer = nqpv_telemetry::Tracer::create(true);
         let mut session =
             crate::Session::new().with_options(VcOptions::default().with_tracer(tracer));
-        session
-            .run_str(include_str!("../../../examples/corpus/grover_step.nqpv"))
-            .unwrap();
+        let src = include_str!("../../../examples/corpus/grover_step.nqpv");
+        session.run_str(&format!("{src}\nshow pf end")).unwrap();
         assert_eq!(session.proof_verdicts(), &[("pf".to_string(), true)]);
         let events = tracer.finish().expect("live tracer").events;
         let end = |e: &nqpv_telemetry::TraceEvent| e.ts_us + e.dur_us as i64;
         let wp: Vec<_> = events.iter().filter(|e| e.phase == Phase::Wp).collect();
         assert!(!wp.is_empty(), "the backward pass is traced");
-        let first_wp = wp.iter().map(|e| e.ts_us).min().unwrap();
         let last_wp = wp.iter().map(|e| end(e)).max().unwrap();
-        let named = |name: &str| -> Vec<&nqpv_telemetry::TraceEvent> {
-            events.iter().filter(|e| e.name == name).collect()
-        };
-        let (resolve, outline) = (named("resolve"), named("outline"));
-        assert_eq!((resolve.len(), outline.len()), (1, 1), "{events:?}");
-        assert!(resolve[0].phase == Phase::Other && outline[0].phase == Phase::Other);
-        assert!(
-            end(resolve[0]) <= first_wp,
-            "resolve nested in wp: {events:?}"
-        );
+        let outline: Vec<_> = events.iter().filter(|e| e.name == "outline").collect();
+        assert_eq!(outline.len(), 1, "{events:?}");
+        assert_eq!(outline[0].phase, Phase::Other);
         assert!(
             outline[0].ts_us >= last_wp,
             "outline nested in wp: {events:?}"
@@ -350,14 +244,19 @@ mod tests {
         )
         .unwrap();
         assert!(outcome.status.verified(), "{:?}", outcome.status);
-        // The outline must show the invariant name and the while structure.
-        assert!(
-            outcome.outline.contains("invN[q1 q2]"),
-            "{}",
-            outcome.outline
+        // Verifying names nothing; rendering names the source assertions.
+        assert!(registry.matrix("invN[q1 q2]").is_none());
+        let outline = crate::render_proof(
+            &term,
+            &lib,
+            &outcome,
+            &mut registry,
+            nqpv_telemetry::Tracer::DISABLED,
         );
-        assert!(outcome.outline.contains("while MQWalk[q1 q2] do"));
-        assert!(outcome.outline.contains("// the Veri. Con."));
+        // The outline must show the invariant name and the while structure.
+        assert!(outline.contains("invN[q1 q2]"), "{outline}");
+        assert!(outline.contains("while MQWalk[q1 q2] do"));
+        assert!(outline.contains("// the Veri. Con."));
         // The generated VC for the whole program is I (full space), i.e.
         // the formula {I} QWalk {0} of Eq. 15.
         assert_eq!(outcome.computed_pre.len(), 1);
@@ -399,9 +298,8 @@ mod tests {
             &mut registry,
         )
         .unwrap();
-        match outcome.status {
-            VerifyStatus::PreconditionViolated { details, violation } => {
-                assert!(details.contains("Order relation not satisfied"));
+        match &outcome.status {
+            VerifyStatus::PreconditionViolated { violation } => {
                 // The structured record carries the solver's evidence: the
                 // witness is a state with tr(P1·ρ) − tr(Pp·ρ) = margin.
                 assert!(violation.margin > 0.2, "{}", violation.margin);
@@ -409,8 +307,20 @@ mod tests {
             }
             other => panic!("expected violation, got {other:?}"),
         }
-        // Outline still rendered.
-        assert!(outcome.outline.contains("[q] *= H"));
+        // The outline still renders, with the tool's error message.
+        let outline = crate::render_proof(
+            &term,
+            &lib,
+            &outcome,
+            &mut registry,
+            nqpv_telemetry::Tracer::DISABLED,
+        );
+        assert!(outline.contains("[q] *= H"), "{outline}");
+        assert!(
+            outline
+                .contains("\nError:\n  Order relation not satisfied:\n  { P1[q] } <= { VAR0[q] }"),
+            "{outline}"
+        );
     }
 
     #[test]

@@ -56,8 +56,7 @@ mod search;
 pub use search::{demonic_schedule, ScriptSched, SearchOutcome};
 
 use nqpv_core::{
-    backward, Annotated, AnnotatedNode, Assertion, FailedObligation, PredicateRegistry, VcOptions,
-    VerifyStatus,
+    backward, Annotated, AnnotatedNode, Assertion, FailedObligation, VcOptions, VerifyStatus,
 };
 use nqpv_lang::{parse_source, pretty_assertion, pretty_stmt, Command, Decl, ProofTerm, Stmt};
 use nqpv_linalg::{eigh, CMat, Complex};
@@ -211,7 +210,6 @@ pub fn explain_source(
 ) -> Result<Vec<ProofDiagnosis>, String> {
     let file = parse_source(source).map_err(|e| e.to_string())?;
     let mut lib = OperatorLibrary::with_builtins();
-    let mut registry = PredicateRegistry::new();
     let mut out = Vec::new();
     for cmd in &file.commands {
         match cmd {
@@ -222,7 +220,7 @@ pub fn explain_source(
             }
             Command::Def(Decl::Proof { name, term }) => {
                 let outcome =
-                    nqpv_core::verify_proof_term(term, &lib, opts, &HashMap::new(), &mut registry)
+                    nqpv_core::verify_proof_term_with(term, &lib, opts, &HashMap::new(), None)
                         .map_err(|e| format!("verifying proof '{name}':\n{e}"))?;
                 let diagnosis = match &outcome.status {
                     VerifyStatus::Verified => ProofDiagnosis {
@@ -235,7 +233,7 @@ pub fn explain_source(
                         verified: false,
                         counterexample: None,
                     },
-                    VerifyStatus::PreconditionViolated { violation, .. } => ProofDiagnosis {
+                    VerifyStatus::PreconditionViolated { violation } => ProofDiagnosis {
                         name: name.clone(),
                         verified: false,
                         counterexample: Some(explain_term(name, term, &lib, opts, violation)?),

@@ -348,9 +348,7 @@ impl TransformerCache for MemoCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nqpv_core::{
-        backward_with_cache, verify_proof_term_with, Assertion, PredicateRegistry, VcOptions,
-    };
+    use nqpv_core::{backward_with_cache, verify_proof_term_with, Assertion, VcOptions};
     use nqpv_lang::{parse_proof_body, parse_stmt};
     use nqpv_quantum::{OperatorLibrary, Register};
     use std::collections::HashMap;
@@ -415,31 +413,18 @@ mod tests {
         )
         .unwrap();
         let rankings = HashMap::new();
-        let mut registry = PredicateRegistry::new();
-        let first = verify_proof_term_with(
-            &term,
-            &lib,
-            VcOptions::default(),
-            &rankings,
-            &mut registry,
-            Some(&cache),
-        )
-        .unwrap();
+        let first =
+            verify_proof_term_with(&term, &lib, VcOptions::default(), &rankings, Some(&cache))
+                .unwrap();
         assert!(first.status.verified());
         let after_first = cache.stats();
         assert!(
             after_first.verdict_entries >= 1,
             "⊑_inf verdicts must be stored: {after_first:?}"
         );
-        let second = verify_proof_term_with(
-            &term,
-            &lib,
-            VcOptions::default(),
-            &rankings,
-            &mut registry,
-            Some(&cache),
-        )
-        .unwrap();
+        let second =
+            verify_proof_term_with(&term, &lib, VcOptions::default(), &rankings, Some(&cache))
+                .unwrap();
         assert!(second.status.verified());
         let after_second = cache.stats();
         // Every second-round ⊑_inf query is answered from the verdict tier
@@ -459,21 +444,13 @@ mod tests {
         let cache = MemoCache::new();
         let lib = OperatorLibrary::with_builtins();
         let rankings = HashMap::new();
-        let mut registry = PredicateRegistry::new();
         for src in [
             "{ Pp[q] }; [q] *= H; { P0[q] }",
             "{ P0[q] }; [q] *= H; { Pp[q] }",
         ] {
             let term = parse_proof_body(&["q"], src).unwrap();
-            verify_proof_term_with(
-                &term,
-                &lib,
-                VcOptions::default(),
-                &rankings,
-                &mut registry,
-                Some(&cache),
-            )
-            .unwrap();
+            verify_proof_term_with(&term, &lib, VcOptions::default(), &rankings, Some(&cache))
+                .unwrap();
         }
         let stats = cache.stats();
         assert_eq!(stats.verdict_hits, 0, "distinct queries must not collide");
@@ -485,7 +462,6 @@ mod tests {
         let cache = MemoCache::with_capacity(2);
         let lib = OperatorLibrary::with_builtins();
         let rankings = HashMap::new();
-        let mut registry = PredicateRegistry::new();
         // Three distinct final comparisons: the verdict tier overflows a
         // capacity of 2 and must evict exactly one entry.
         for src in [
@@ -494,30 +470,15 @@ mod tests {
             "{ Pm[q] }; [q] *= H; { P1[q] }",
         ] {
             let term = parse_proof_body(&["q"], src).unwrap();
-            verify_proof_term_with(
-                &term,
-                &lib,
-                VcOptions::default(),
-                &rankings,
-                &mut registry,
-                Some(&cache),
-            )
-            .unwrap();
+            verify_proof_term_with(&term, &lib, VcOptions::default(), &rankings, Some(&cache))
+                .unwrap();
         }
         let stats = cache.stats();
         assert_eq!(stats.verdict_entries, 2, "{stats:?}");
         assert_eq!(stats.verdict_evictions, 1, "{stats:?}");
         // The evicted (oldest) query re-runs as a miss and re-enters.
         let term = parse_proof_body(&["q"], "{ Pp[q] }; [q] *= H; { P0[q] }").unwrap();
-        verify_proof_term_with(
-            &term,
-            &lib,
-            VcOptions::default(),
-            &rankings,
-            &mut registry,
-            Some(&cache),
-        )
-        .unwrap();
+        verify_proof_term_with(&term, &lib, VcOptions::default(), &rankings, Some(&cache)).unwrap();
         let stats2 = cache.stats();
         assert!(stats2.verdict_evictions >= 2, "{stats2:?}");
         assert_eq!(stats2.verdict_entries, 2);
@@ -559,16 +520,7 @@ mod tests {
         // written through.
         let disk = Arc::new(DiskCache::open(&dir).unwrap());
         let cache = MemoCache::layered(None, Some(disk));
-        let mut registry = PredicateRegistry::new();
-        verify_proof_term_with(
-            &term,
-            &lib,
-            VcOptions::default(),
-            &rankings,
-            &mut registry,
-            Some(&cache),
-        )
-        .unwrap();
+        verify_proof_term_with(&term, &lib, VcOptions::default(), &rankings, Some(&cache)).unwrap();
         let s1 = cache.stats();
         assert!(s1.disk_writes >= 1, "{s1:?}");
         assert_eq!(s1.disk_hits, 0, "{s1:?}");
@@ -577,30 +529,14 @@ mod tests {
         // the verdict comes from disk, not the solver.
         let disk = Arc::new(DiskCache::open(&dir).unwrap());
         let cache = MemoCache::layered(None, Some(disk));
-        verify_proof_term_with(
-            &term,
-            &lib,
-            VcOptions::default(),
-            &rankings,
-            &mut registry,
-            Some(&cache),
-        )
-        .unwrap();
+        verify_proof_term_with(&term, &lib, VcOptions::default(), &rankings, Some(&cache)).unwrap();
         let s2 = cache.stats();
         assert!(s2.disk_hits >= 1, "restart must hit disk: {s2:?}");
         assert_eq!(s2.disk_writes, 0, "disk hits must not rewrite: {s2:?}");
 
         // Within the same run, a repeat query is a *memory* hit: the
         // promotion means each distinct key pays one file read.
-        verify_proof_term_with(
-            &term,
-            &lib,
-            VcOptions::default(),
-            &rankings,
-            &mut registry,
-            Some(&cache),
-        )
-        .unwrap();
+        verify_proof_term_with(&term, &lib, VcOptions::default(), &rankings, Some(&cache)).unwrap();
         let s3 = cache.stats();
         assert_eq!(s3.disk_hits, s2.disk_hits, "{s3:?}");
         assert!(s3.verdict_hits > s2.verdict_hits, "{s3:?}");

@@ -994,6 +994,31 @@ mod tests {
     }
 
     #[test]
+    fn batch_job_traces_resolve_but_render_no_outline() {
+        // A batch job verifies but never shows its proof, so its trace
+        // holds the resolve span and no outline span.
+        let dir = std::env::temp_dir().join("nqpv_engine_outline_trace_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let corpus = Corpus::from_sources(vec![(
+            "grover_step",
+            include_str!("../../../examples/corpus/grover_step.nqpv"),
+        )]);
+        let report = run_job_traced(
+            &corpus.jobs()[0],
+            VcOptions::default(),
+            None,
+            0,
+            false,
+            Some(&dir),
+        );
+        assert!(matches!(report.status, JobStatus::Verified { .. }));
+        let text =
+            std::fs::read_to_string(dir.join("grover_step.trace.json")).expect("trace written");
+        assert_eq!(text.matches("\"name\":\"resolve\"").count(), 1, "{text}");
+        assert!(!text.contains("\"name\":\"outline\""), "{text}");
+    }
+
+    #[test]
     fn wire_traced_jobs_return_their_daemon_half_and_failures_dump_flight() {
         use nqpv_telemetry::TraceContext;
 

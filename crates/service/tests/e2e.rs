@@ -655,8 +655,13 @@ fn metrics_endpoint_serves_prometheus_text_after_jobs() {
     assert_eq!(client.wait_verdicts(&[id]).unwrap()[0].status, "verified");
 
     // The extended stats event: done counted, nothing rejected, backlog
-    // drained.
-    let Event::Stats { queue, .. } = client.stats().unwrap() else {
+    // drained; the raw reply line carries the daemon's uptime.
+    client.send(&Request::Stats).unwrap();
+    let line = std::iter::from_fn(|| client.next_line().unwrap())
+        .find(|l| matches!(Event::parse(l), Ok(Event::Stats { .. })))
+        .expect("stats reply");
+    assert!(line.contains("\"uptime_ms\""), "{line}");
+    let Ok(Event::Stats { queue, .. }) = Event::parse(&line) else {
         unreachable!()
     };
     assert_eq!(queue.done, 1);
@@ -680,6 +685,12 @@ fn metrics_endpoint_serves_prometheus_text_after_jobs() {
         .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
         .sum();
     assert!(completed >= 1, "jobs must be counted:\n{body}");
+    let verified: u64 = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("nqpv_jobs_completed_total{status=\"verified\"} "))
+        .map(|v| v.parse::<u64>().unwrap())
+        .sum();
+    assert!(verified >= 1, "verified jobs must be counted:\n{body}");
     // …and one scrape carries the whole surface: phase latency
     // histograms, queue wait, solver path mix, per-tier cache counters,
     // the drained-but-still-reported priority-3 depth gauge, uptime, and
@@ -688,6 +699,7 @@ fn metrics_endpoint_serves_prometheus_text_after_jobs() {
         "# TYPE nqpv_phase_duration_seconds histogram",
         "nqpv_phase_duration_seconds_bucket{phase=\"wp\",le=",
         "# TYPE nqpv_queue_wait_seconds histogram",
+        "\nnqpv_queue_wait_seconds_count",
         "nqpv_solver_obligations_total{path=",
         "nqpv_cache_lookups_total{tier=\"verdict\",outcome=",
         "nqpv_queue_depth{priority=\"3\"} 0",

@@ -18,7 +18,7 @@ fn main() {
     // ----- Verify the Hoare-logic statement ------------------------------
     let study = casestudies::deutsch();
     let outcome = study.verify().expect("verification runs");
-    println!("{}", outcome.outline);
+    println!("{}", study.outline(&outcome));
     println!(
         "⊨tot {{I}} Deutsch {{(|00⟩⟨00|+|11⟩⟨11|)_(q,q1)}} : {}",
         if outcome.status.verified() {

@@ -18,7 +18,7 @@ fn main() {
     // ----- The Hoare-logic proof (invariant-based, covers ALL schedulers).
     let study = casestudies::qwalk();
     let outcome = study.verify().expect("verification runs");
-    println!("{}", outcome.outline);
+    println!("{}", study.outline(&outcome));
     println!(
         "⊨par {{I}} QWalk {{0}} : {}",
         if outcome.status.verified() {

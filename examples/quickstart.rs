@@ -17,7 +17,7 @@ fn main() {
     println!();
 
     let outcome = study.verify().expect("verification runs");
-    println!("{}", outcome.outline);
+    println!("{}", study.outline(&outcome));
     println!(
         "result     : {}",
         if outcome.status.verified() {

@@ -18,7 +18,7 @@ fn main() {
     // ----- The certified proof. ------------------------------------------
     let study = repeat_until_success();
     let outcome = study.verify().expect("verification runs");
-    println!("{}", outcome.outline);
+    println!("{}", study.outline(&outcome));
     println!(
         "⊨tot {{I}} RUS {{P0}} : {}",
         if outcome.status.verified() {

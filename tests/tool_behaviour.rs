@@ -195,6 +195,121 @@ fn e4_cli_binary_verifies_the_shipped_examples() {
 }
 
 #[test]
+fn cli_outputs_match_the_golden_fixtures() {
+    // `verify` and `show` output is byte-identical to the fixtures under
+    // tests/golden/: outlines, `VARk` numbering across the proofs of one
+    // file, `Error:` blocks of rejected proofs, and shown matrices.
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let manifest = std::fs::read_to_string(golden.join("MANIFEST")).expect("manifest");
+    let mut cases = 0;
+    for line in manifest
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+    {
+        let mut fields = line.split_whitespace();
+        let (Some(code), Some(file)) = (fields.next(), fields.next()) else {
+            panic!("malformed manifest line {line:?}");
+        };
+        let args: Vec<&str> = fields.collect();
+        let Some(out) = run_nqpv(&args) else { return };
+        let expected = std::fs::read(golden.join(file)).expect("golden file");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&expected),
+            "stdout of `nqpv {}` differs from {file}",
+            args.join(" ")
+        );
+        assert_eq!(out.stdout, expected, "{file}: bytes differ");
+        assert_eq!(
+            out.status.code().map(|c| c.to_string()).as_deref(),
+            Some(code),
+            "exit code of `nqpv {}`",
+            args.join(" ")
+        );
+        cases += 1;
+    }
+    assert_eq!(cases, 44, "every fixture case ran");
+}
+
+#[test]
+fn cli_batch_traces_are_chrome_json_without_outline_spans() {
+    // `batch --trace` writes one Chrome trace-event JSON per corpus job,
+    // each with a parse span; a cold job also shows wp and solver spans
+    // (verdict-cache twins legitimately skip the solver). Batch jobs show
+    // no outline, so none of them renders one.
+    let dir = temp_dir("batch_traces");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_string_lossy().into_owned();
+    let args = [
+        "batch",
+        "examples/corpus",
+        "--jobs",
+        "2",
+        "--trace",
+        &dir_arg,
+    ];
+    let Some(out) = run_nqpv(&args) else { return };
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("trace dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.to_string_lossy().ends_with(".trace.json"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 8, "{files:?}");
+    let span_cats = |trace: &Json| -> Vec<(String, String)> {
+        trace
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("traceEvents array")
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .map(|e| {
+                let field = |k| {
+                    e.get(k)
+                        .and_then(Json::as_str)
+                        .unwrap_or_default()
+                        .to_string()
+                };
+                (field("cat"), field("name"))
+            })
+            .collect()
+    };
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("trace readable");
+        let trace = Json::parse(&text).unwrap_or_else(|e| panic!("{file:?}: {e}"));
+        assert_eq!(
+            trace.get("displayTimeUnit").and_then(Json::as_str),
+            Some("ms"),
+            "{file:?}"
+        );
+        let spans = span_cats(&trace);
+        assert!(
+            spans.iter().any(|(cat, _)| cat == "parse"),
+            "{file:?}: {spans:?}"
+        );
+        assert!(
+            !spans.iter().any(|(_, name)| name == "outline"),
+            "{file:?}: {spans:?}"
+        );
+        if file.ends_with("deutsch.trace.json") {
+            for cat in ["parse", "wp", "solver"] {
+                assert!(spans.iter().any(|(c, _)| c == cat), "{cat}: {spans:?}");
+            }
+        }
+    }
+    assert!(
+        files.iter().any(|f| f.ends_with("deutsch.trace.json")),
+        "{files:?}"
+    );
+}
+
+#[test]
 fn cli_usage_and_exit_codes() {
     // No arguments: usage on stderr, exit 2.
     let Some(out) = run_nqpv(&[]) else { return };
