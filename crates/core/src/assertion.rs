@@ -21,14 +21,27 @@
 //! GEMMs, and `⊑` comparisons between factored predicates reduce to an
 //! `(r₁+r₂)`-dimensional Gram eigenproblem
 //! ([`nqpv_solver::factored_lowner_le`]) ahead of any dense solve.
+//!
+//! # Diagonal predicates
+//!
+//! A predicate that is **exactly diagonal** — a scaled identity such as
+//! Grover's `p·I`, a sum of basis projectors — is held as its real
+//! diagonal ([`Predicate::Diagonal`]) when rank detection gives it no
+//! factor. Validation and `⊑_inf` between all-diagonal sides run in
+//! `O(2ⁿ)` over the diagonals; every other operation materialises the
+//! dense matrix (bitwise the one the dense representation would hold)
+//! and runs the dense code.
 
 use nqpv_lang::AssertionExpr;
 use nqpv_linalg::{
     adjoint_conjugate_gate, apply_gate_columns, apply_gate_columns_adjoint, conjugate_gate,
-    deposit_bits, embed, embed_factor, factor_recompress, gram, hconcat, low_rank_factor, CMat,
+    deposit_bits, detect_structure, diagonal_is_psd, embed, embed_diagonal, embed_factor,
+    exact_diagonal, factor_recompress, gram, hconcat, CMat, Complex, Structure,
 };
 use nqpv_quantum::{OperatorLibrary, Register, SuperOp};
-use nqpv_solver::{assertion_le, factored_lowner_le, LownerOptions, Verdict};
+use nqpv_solver::{
+    assertion_le, diagonal_assertion_le, factored_lowner_le, LownerOptions, Verdict,
+};
 use std::collections::HashSet;
 use std::fmt;
 use std::ops::Deref;
@@ -106,9 +119,80 @@ impl Factor {
     }
 }
 
-/// One element of an assertion set: a quantum predicate held either as a
-/// dense `2ⁿ×2ⁿ` matrix or in low-rank factored form (see the module
-/// docs).
+/// An exactly-diagonal operator held as its real diagonal, plus a lazily
+/// materialised dense form for the operations that need the whole
+/// matrix (the same `Arc`-shared cache as [`Factor`]).
+#[derive(Debug)]
+pub struct Diagonal {
+    d: Vec<f64>,
+    dense: OnceLock<std::sync::Arc<CMat>>,
+}
+
+impl Clone for Diagonal {
+    fn clone(&self) -> Self {
+        // As for `Factor`: the dense cache is rebuilt on demand.
+        Diagonal::new(self.d.clone())
+    }
+}
+
+impl Diagonal {
+    fn new(d: Vec<f64>) -> Self {
+        Diagonal {
+            d,
+            dense: OnceLock::new(),
+        }
+    }
+
+    /// The real diagonal.
+    pub(crate) fn diag(&self) -> &[f64] {
+        &self.d
+    }
+
+    fn dense_shared(&self) -> &std::sync::Arc<CMat> {
+        self.dense
+            .get_or_init(|| std::sync::Arc::new(self.materialise()))
+    }
+
+    /// The dense matrix `diag(d)`, built afresh.
+    fn materialise(&self) -> CMat {
+        let n = self.d.len();
+        let mut m = CMat::zeros(n, n);
+        for (i, &x) in self.d.iter().enumerate() {
+            m[(i, i)] = Complex::real(x);
+        }
+        m
+    }
+
+    /// `0 ⊑ D ⊑ I` within `tol`, decided exactly as
+    /// [`nqpv_linalg::is_predicate`] decides it on the dense matrix: a
+    /// non-finite entry fails its hermiticity test, then the diagonal
+    /// PSD rule runs on `D` and on `I − D`.
+    fn is_predicate(&self, tol: f64) -> bool {
+        self.d.iter().all(|x| x.is_finite())
+            && diagonal_is_psd(self.d.iter().copied(), tol)
+            && diagonal_is_psd(self.d.iter().map(|&x| 1.0 - x), tol)
+    }
+}
+
+/// `d`, the real diagonal of the exactly-diagonal `m`, made the diagonal
+/// whose materialisation (`Complex::real(dᵢ)` on a zero matrix)
+/// reproduces `embed(m, …)` bit for bit: `embed` skips exact zeros (so
+/// they read `+0.0`) and copies every other entry, so a nonzero entry
+/// with imaginary part `-0.0` has no such diagonal and stays dense.
+fn embeddable_diagonal(m: &CMat, mut d: Vec<f64>) -> Option<Vec<f64>> {
+    for (i, x) in d.iter_mut().enumerate() {
+        if *x == 0.0 {
+            *x = 0.0;
+        } else if m[(i, i)].im.is_sign_negative() {
+            return None;
+        }
+    }
+    Some(d)
+}
+
+/// One element of an assertion set: a quantum predicate held as a dense
+/// `2ⁿ×2ⁿ` matrix, in low-rank factored form, or as an exact diagonal
+/// (see the module docs).
 ///
 /// `Predicate` dereferences to the **dense** matrix, so read-only
 /// consumers (tests, rendering, solver fallbacks) treat it as a `CMat`;
@@ -120,6 +204,8 @@ pub enum Predicate {
     Dense(CMat),
     /// A factored predicate `V·V†`.
     Factored(Factor),
+    /// An exactly-diagonal predicate.
+    Diagonal(Diagonal),
 }
 
 impl Predicate {
@@ -140,11 +226,17 @@ impl Predicate {
         }
     }
 
+    /// Wraps a real diagonal: the predicate `diag(d)`.
+    pub(crate) fn from_diagonal(d: Vec<f64>) -> Predicate {
+        Predicate::Diagonal(Diagonal::new(d))
+    }
+
     /// The space dimension.
     pub fn dim(&self) -> usize {
         match self {
             Predicate::Dense(m) => m.rows(),
             Predicate::Factored(f) => f.v.rows(),
+            Predicate::Diagonal(d) => d.d.len(),
         }
     }
 
@@ -156,27 +248,30 @@ impl Predicate {
     /// The factor width for factored predicates (`None` when dense).
     pub fn rank(&self) -> Option<usize> {
         match self {
-            Predicate::Dense(_) => None,
+            Predicate::Dense(_) | Predicate::Diagonal(_) => None,
             Predicate::Factored(f) => Some(f.rank()),
         }
     }
 
-    /// The dense matrix, lazily materialised for factored predicates.
+    /// The dense matrix, lazily materialised for factored and diagonal
+    /// predicates.
     pub fn dense(&self) -> &CMat {
         match self {
             Predicate::Dense(m) => m,
             Predicate::Factored(f) => f.dense(),
+            Predicate::Diagonal(d) => d.dense_shared(),
         }
     }
 
-    /// The dense matrix behind a shared handle: factored predicates hand
-    /// out their cached materialisation without copying (an `O(4ⁿ)`
-    /// memory pass saved per outline-rendered predicate); dense ones pay
-    /// the one clone they would pay anyway.
+    /// The dense matrix behind a shared handle: factored and diagonal
+    /// predicates hand out their cached materialisation without copying
+    /// (an `O(4ⁿ)` memory pass saved per outline-rendered predicate);
+    /// dense ones pay the one clone they would pay anyway.
     pub fn dense_shared(&self) -> std::sync::Arc<CMat> {
         match self {
             Predicate::Dense(m) => std::sync::Arc::new(m.clone()),
             Predicate::Factored(f) => f.dense_shared().clone(),
+            Predicate::Diagonal(d) => d.dense_shared().clone(),
         }
     }
 
@@ -189,7 +284,7 @@ impl Predicate {
     /// Panics on dimension mismatch.
     pub fn expectation(&self, rho: &CMat) -> f64 {
         match self {
-            Predicate::Dense(m) => m.trace_product(rho).re,
+            Predicate::Dense(_) | Predicate::Diagonal(_) => self.dense().trace_product(rho).re,
             Predicate::Factored(f) => {
                 let d = f.v.rows();
                 assert_eq!(rho.rows(), d, "state dimension mismatch");
@@ -211,7 +306,7 @@ impl Predicate {
     /// `tr(VV†) = ‖V‖²_F`, an `O(2ⁿ·r)` pass over the factor.
     pub fn trace_re(&self) -> f64 {
         match self {
-            Predicate::Dense(m) => m.trace_re(),
+            Predicate::Dense(_) | Predicate::Diagonal(_) => self.dense().trace_re(),
             Predicate::Factored(f) => {
                 f.v.as_slice()
                     .iter()
@@ -226,18 +321,23 @@ impl Predicate {
     /// byte-identical pipeline products dedupe without materialising
     /// `V·V†`. Factored/dense forms of the same operator therefore hash
     /// apart — dedup is best-effort, the set-size bound still governs.
+    /// Diagonal predicates hash their dense form, so they dedupe against
+    /// dense equals exactly as the dense representation would.
     pub fn fingerprint(&self, scale: f64) -> u64 {
         match self {
-            Predicate::Dense(m) => m.fingerprint(scale),
+            Predicate::Dense(_) | Predicate::Diagonal(_) => self.dense().fingerprint(scale),
             Predicate::Factored(f) => f.v.fingerprint(scale) ^ 0x9e37_79b9_7f4a_7c15,
         }
     }
 
     /// `0 ⊑ M ⊑ I` within `tol`. Factored predicates are PSD by
-    /// construction and `VV† ⊑ I ⇔ V†V ⊑ I`, an `r×r` eigenproblem.
+    /// construction and `VV† ⊑ I ⇔ V†V ⊑ I`, an `r×r` eigenproblem;
+    /// diagonal ones scan the diagonal in `O(2ⁿ)` and decide exactly as
+    /// the dense test does on their matrix.
     pub fn is_predicate(&self, tol: f64) -> bool {
         match self {
             Predicate::Dense(m) => nqpv_linalg::is_predicate(m, tol),
+            Predicate::Diagonal(d) => d.is_predicate(tol),
             Predicate::Factored(f) => {
                 if f.rank() == 0 {
                     return true;
@@ -303,6 +403,7 @@ impl Assertion {
             let rows = match p {
                 Predicate::Dense(m) if m.rows() != dim || m.cols() != dim => m.rows(),
                 Predicate::Factored(f) if f.v.rows() != dim => f.v.rows(),
+                Predicate::Diagonal(d) if d.d.len() != dim => d.d.len(),
                 _ => continue,
             };
             return Err(VerifError::AssertionShape {
@@ -333,8 +434,9 @@ impl Assertion {
     /// every `P[q̄]` term is embedded as a cylinder extension onto the full
     /// register space, with **rank detection** — predicates whose pivoted
     /// Cholesky factorisation reveals a payoff-worthy rank (`2r ≤ 2ᵏ`)
-    /// enter the pipeline factored, with no syntax change for existing
-    /// corpora.
+    /// enter the pipeline factored, and exactly-diagonal ones without such
+    /// a factor enter as their diagonal, with no syntax change for
+    /// existing corpora.
     ///
     /// # Errors
     ///
@@ -349,8 +451,8 @@ impl Assertion {
     }
 
     /// [`Assertion::from_expr`] with rank detection switchable off
-    /// (`factor = false` forces the dense representation; the
-    /// factored-vs-dense ablation knob behind
+    /// (`factor = false` forces the dense representation, diagonals
+    /// included; the factored-vs-dense ablation knob behind
     /// [`VcOptions::factor_assertions`](crate::transformer::VcOptions)).
     ///
     /// # Errors
@@ -375,19 +477,7 @@ impl Assertion {
                     got: pos.len(),
                 });
             }
-            // Rank detection on the library operator at its native 2ᵏ
-            // dimension: the embedded rank is r·2^{n-k}, so the factored
-            // form pays off exactly when 2r ≤ 2ᵏ — passed down as the
-            // rank budget so full-rank operators abort cheaply.
-            let factored = if factor {
-                low_rank_factor(&m, RANK_DETECT_TOL, m.rows() / 2)
-            } else {
-                None
-            };
-            ops.push(match factored {
-                Some(w) => Predicate::Factored(Factor::new(embed_factor(&w, &pos, n))),
-                None => Predicate::Dense(embed(&m, &pos, n)),
-            });
+            ops.push(resolve_term(&m, &pos, n, factor));
         }
         Assertion::from_predicates(reg.dim(), ops)
     }
@@ -413,9 +503,16 @@ impl Assertion {
     }
 
     /// Clones every predicate into its dense matrix form (solver
-    /// fallbacks; factored elements materialise through their cache).
+    /// fallbacks; factored elements materialise through their cache, and
+    /// a diagonal not yet materialised is built once, uncached).
     pub fn dense_ops(&self) -> Vec<CMat> {
-        self.ops.iter().map(|p| p.dense().clone()).collect()
+        self.ops
+            .iter()
+            .map(|p| match p {
+                Predicate::Diagonal(d) if d.dense.get().is_none() => d.materialise(),
+                _ => p.dense().clone(),
+            })
+            .collect()
     }
 
     /// Number of predicates held in factored form.
@@ -474,8 +571,8 @@ impl Assertion {
                 .ops
                 .iter()
                 .map(|p| match p {
-                    Predicate::Dense(m) => {
-                        Predicate::Dense(adjoint_conjugate_gate(u, positions, n, m))
+                    Predicate::Dense(_) | Predicate::Diagonal(_) => {
+                        Predicate::Dense(adjoint_conjugate_gate(u, positions, n, p.dense()))
                     }
                     Predicate::Factored(f) => {
                         let mut v = f.v.clone();
@@ -500,7 +597,9 @@ impl Assertion {
                 .ops
                 .iter()
                 .map(|pred| match pred {
-                    Predicate::Dense(m) => Predicate::Dense(conjugate_gate(p, positions, n, m)),
+                    Predicate::Dense(_) | Predicate::Diagonal(_) => {
+                        Predicate::Dense(conjugate_gate(p, positions, n, pred.dense()))
+                    }
                     Predicate::Factored(f) => {
                         let mut v = f.v.clone();
                         apply_gate_columns(p, positions, n, &mut v);
@@ -519,7 +618,8 @@ impl Assertion {
     /// of the factor, re-truncate that `2^{n-k}×r` block (this is where
     /// rank *grows* by the `2ᵏ` branch factor, and where recompression
     /// claws it back), and re-embed — never touching the `2ᵏ` Kraus
-    /// branches individually.
+    /// branches individually. Past the payoff width, an exactly-diagonal
+    /// rest-space block `⟨0|M|0⟩` re-embeds as a diagonal predicate.
     pub fn wp_init(&self, positions: &[usize], n: usize) -> Assertion {
         let k = positions.len();
         let rest: Vec<usize> = (0..n).filter(|q| !positions.contains(q)).collect();
@@ -530,10 +630,10 @@ impl Assertion {
                 .ops
                 .iter()
                 .map(|pred| match pred {
-                    Predicate::Dense(m) => {
+                    Predicate::Dense(_) | Predicate::Diagonal(_) => {
                         let e: &SuperOp =
                             setter.get_or_init(|| SuperOp::initializer(k).embed(positions, n));
-                        Predicate::Dense(e.apply_heisenberg(m))
+                        Predicate::Dense(e.apply_heisenberg(pred.dense()))
                     }
                     Predicate::Factored(f) => {
                         // V₀ = the rows of V whose `positions` bits are 0,
@@ -549,9 +649,16 @@ impl Assertion {
                         } else {
                             // Full-ish rank after the 2ᵏ branch blow-up:
                             // build the small rest-space block densely and
-                            // embed once (O(4ⁿ) — e.g. Grover's wp lands
-                            // on ⟨0|M|0⟩·I here).
-                            Predicate::Dense(embed(&w.mul(&w.adjoint()), &rest, n))
+                            // embed it once: O(2ⁿ) when the block is
+                            // diagonal (e.g. Grover's wp lands on
+                            // ⟨0|M|0⟩·I here), O(4ⁿ) otherwise.
+                            let block = w.mul(&w.adjoint());
+                            match exact_diagonal(&block)
+                                .and_then(|d| embeddable_diagonal(&block, d))
+                            {
+                                Some(d) => Predicate::from_diagonal(embed_diagonal(&d, &rest, n)),
+                                None => Predicate::Dense(embed(&block, &rest, n)),
+                            }
                         }
                     }
                 })
@@ -607,20 +714,64 @@ impl Assertion {
         Ok(Assertion { dim: self.dim, ops }.deduped())
     }
 
-    /// Decides `self ⊑_inf other` with the solver. Pairs of factored
-    /// predicates try the `(r₁+r₂)`-dimensional Gram fast path first: if
-    /// every `N ∈ Ψ` is dominated by some factored `M ∈ Θ`, the order is
-    /// certified without materialising a single dense operator; otherwise
-    /// the dense minimax solver decides as before.
+    /// Decides `self ⊑_inf other` with the solver. When every element of
+    /// both sides is diagonal, the diagonal scan decides first
+    /// ([`nqpv_solver::diagonal_assertion_le`]) without materialising a
+    /// dense operator. Pairs of factored predicates try the
+    /// `(r₁+r₂)`-dimensional Gram fast path: if every `N ∈ Ψ` is
+    /// dominated by some factored `M ∈ Θ`, the order is certified without
+    /// materialising a single dense operator. Otherwise the dense minimax
+    /// solver decides as before.
     ///
     /// # Errors
     ///
     /// Wraps solver input failures.
     pub fn le_inf(&self, other: &Assertion, opts: LownerOptions) -> Result<Verdict, VerifError> {
+        if let Some(v) = self.diagonal_le_inf_traced(other, opts) {
+            return Ok(v);
+        }
         if self.fast_le_inf_holds_traced(other, opts) {
             return Ok(Verdict::Holds);
         }
         assertion_le(&self.dense_ops(), &other.dense_ops(), opts).map_err(VerifError::Solver)
+    }
+
+    /// Every element's diagonal, when all of them are diagonal.
+    fn diagonals(&self) -> Option<Vec<&[f64]>> {
+        self.ops
+            .iter()
+            .map(|p| match p {
+                Predicate::Diagonal(d) => Some(d.diag()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `⊑_inf` between all-diagonal sides under one solver span on the
+    /// `diagonal` path. `None` (span cancelled) when some element is not
+    /// diagonal, the deadline has expired, or the scan leaves the order
+    /// undecided: the dense solver then decides and records its own spans.
+    fn diagonal_le_inf_traced(&self, other: &Assertion, opts: LownerOptions) -> Option<Verdict> {
+        let (theta, psi) = (self.diagonals()?, other.diagonals()?);
+        if opts.deadline.expired() {
+            return None;
+        }
+        let mut span = opts
+            .tracer
+            .span(nqpv_telemetry::Phase::Solver, "obligation");
+        let Some(verdict) = diagonal_assertion_le(&theta, &psi, opts.eps) else {
+            span.cancel();
+            return None;
+        };
+        span.classify("solver_path", "diagonal");
+        match &verdict {
+            Verdict::Violated(v) => {
+                span.arg("outcome", nqpv_telemetry::ArgValue::Static("violated"));
+                span.arg("margin", nqpv_telemetry::ArgValue::F64(v.margin));
+            }
+            _ => span.arg("outcome", nqpv_telemetry::ArgValue::Static("holds")),
+        }
+        Some(verdict)
     }
 
     /// [`Assertion::fast_le_inf_holds`] under a solver span: a certified
@@ -718,7 +869,8 @@ impl Assertion {
 
     /// Validates that every element lies in the predicate interval
     /// `0 ⊑ M ⊑ I` (within `tol`). Factored elements decide `VV† ⊑ I`
-    /// as the `r×r` Gram eigenproblem `V†V ⊑ I`.
+    /// as the `r×r` Gram eigenproblem `V†V ⊑ I`; diagonal ones scan their
+    /// diagonal.
     pub fn validate_predicates(&self, tol: f64) -> bool {
         self.ops.iter().all(|m| m.is_predicate(tol))
     }
@@ -761,6 +913,27 @@ impl Assertion {
         let mut seen = HashSet::new();
         self.ops.retain(|m| seen.insert(m.fingerprint(1e8)));
         self
+    }
+}
+
+/// One resolved `P[q̄]` term: the library operator `m` embedded on
+/// `positions` of an `n`-qubit register. Rank detection runs on `m` at its
+/// native `2ᵏ` dimension: the embedded rank is `r·2^{n−k}`, so the
+/// factored form pays off exactly when `2r ≤ 2ᵏ` — passed down as the rank
+/// budget so full-rank operators abort cheaply. An exactly-diagonal `m`
+/// with no factor embeds as its diagonal, a gather of `2ⁿ` entries.
+/// `factor = false` keeps every term dense.
+fn resolve_term(m: &CMat, positions: &[usize], n: usize, factor: bool) -> Predicate {
+    if !factor {
+        return Predicate::Dense(embed(m, positions, n));
+    }
+    match detect_structure(m, RANK_DETECT_TOL, m.rows() / 2) {
+        Structure::Factor(w) => Predicate::Factored(Factor::new(embed_factor(&w, positions, n))),
+        Structure::Diagonal(d) => match embeddable_diagonal(m, d) {
+            Some(d) => Predicate::from_diagonal(embed_diagonal(&d, positions, n)),
+            None => Predicate::Dense(embed(m, positions, n)),
+        },
+        Structure::Dense => Predicate::Dense(embed(m, positions, n)),
     }
 }
 
@@ -947,15 +1120,352 @@ mod tests {
     #[test]
     fn wp_init_full_width_lands_on_scaled_identity() {
         // xp.(q̄:=0).[|ψ⟩] = |⟨0…0|ψ⟩|²·I — rank explodes, so the factored
-        // element must densify into the scaled identity.
+        // element leaves factored form; the 1×1 rest-space block is
+        // diagonal, so it lands on a diagonal scaled identity whose dense
+        // form is bitwise the dense embedding of that block.
         let s = std::f64::consts::FRAC_1_SQRT_2;
         let psi = CMat::from_real(4, 1, &[s, 0.0, 0.0, s]);
-        let a = Assertion::from_predicates(4, vec![Predicate::from_factor(psi)]).unwrap();
+        let a = Assertion::from_predicates(4, vec![Predicate::from_factor(psi.clone())]).unwrap();
         let wp = a.wp_init(&[0, 1], 2);
         assert_eq!(wp.factored_count(), 0);
+        assert!(matches!(wp.ops()[0], Predicate::Diagonal(_)));
         assert!(wp.ops()[0]
             .dense()
             .approx_eq(&CMat::identity(4).scale_re(0.5), 1e-10));
+        let v0 = CMat::from_fn(1, 1, |_, _| psi[(0, 0)]);
+        let w = factor_recompress(&v0);
+        assert_eq!(
+            bits(wp.ops()[0].dense()),
+            bits(&embed(&w.mul(&w.adjoint()), &[], 2))
+        );
+    }
+
+    fn bits(x: &CMat) -> Vec<(u64, u64)> {
+        x.as_slice()
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    fn diagonal_assertion(d: &[f64]) -> Assertion {
+        Assertion::from_predicates(d.len(), vec![Predicate::from_diagonal(d.to_vec())]).unwrap()
+    }
+
+    #[test]
+    fn from_expr_keeps_exact_diagonals_diagonal_only_when_factoring() {
+        let lib = OperatorLibrary::with_builtins();
+        let expr = AssertionExpr::new(vec![OpApp::new("I", &["q1"])]);
+        let a = Assertion::from_expr(&expr, &lib, &reg2()).unwrap();
+        match &a.ops()[0] {
+            Predicate::Diagonal(d) => assert_eq!(d.diag(), &[1.0; 4]),
+            other => panic!("I[q1] should resolve to a diagonal: {other:?}"),
+        }
+        assert!(a.validate_predicates(1e-6));
+        let dense = Assertion::from_expr_with(&expr, &lib, &reg2(), false).unwrap();
+        assert!(matches!(dense.ops()[0], Predicate::Dense(_)));
+        assert_eq!(bits(a.ops()[0].dense()), bits(dense.ops()[0].dense()));
+    }
+
+    #[test]
+    fn embeddable_diagonal_reproduces_embed_bits_or_declines() {
+        // Exact zeros of either sign embed as +0.0; a nonzero entry with a
+        // -0.0 imaginary part would not survive the round trip.
+        let m = CMat::diag(&[
+            nqpv_linalg::c(-0.0, 0.0),
+            nqpv_linalg::c(0.25, 0.0),
+            nqpv_linalg::c(0.0, -0.0),
+            nqpv_linalg::c(-0.5, 0.0),
+        ]);
+        let p = resolve_term(&m, &[2, 0], 3, true);
+        assert!(matches!(p, Predicate::Diagonal(_)));
+        assert_eq!(bits(p.dense()), bits(&embed(&m, &[2, 0], 3)));
+        let mut signed = m.clone();
+        signed[(1, 1)] = nqpv_linalg::c(0.25, -0.0);
+        let p = resolve_term(&signed, &[2, 0], 3, true);
+        assert!(matches!(p, Predicate::Dense(_)));
+        assert_eq!(bits(p.dense()), bits(&embed(&signed, &[2, 0], 3)));
+    }
+
+    #[test]
+    fn twelve_qubit_diagonal_comparison_materialises_nothing() {
+        let dim = 1usize << 12;
+        let low = diagonal_assertion(&vec![0.25; dim]);
+        let high = diagonal_assertion(&vec![0.75; dim]);
+        let opts = LownerOptions::default();
+        assert!(low.le_inf(&high, opts).unwrap().holds());
+        match high.le_inf(&low, opts).unwrap() {
+            Verdict::Violated(v) => {
+                assert_eq!(v.index, 0);
+                assert_eq!(v.margin, 0.5);
+            }
+            other => panic!("expected a violation, got {other:?}"),
+        }
+        for a in [&low, &high] {
+            match &a.ops()[0] {
+                Predicate::Diagonal(d) => assert!(d.dense.get().is_none()),
+                other => panic!("representation changed: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn grover8_final_comparison_is_diagonal_on_both_sides() {
+        let study = crate::casestudies::grover(8);
+        let opts = crate::transformer::VcOptions {
+            mode: study.mode,
+            ..Default::default()
+        };
+        let outcome = crate::verifier::verify_proof_term_with(
+            &study.term,
+            &study.library,
+            opts,
+            &study.rankings,
+            None,
+        )
+        .unwrap();
+        assert!(outcome.status.verified());
+        let reg = Register::new(&study.term.qubits).unwrap();
+        let pre =
+            Assertion::from_expr(study.term.pre.as_ref().unwrap(), &study.library, &reg).unwrap();
+        assert!(pre.validate_predicates(1e-6));
+        assert!(pre
+            .le_inf(&outcome.computed_pre, opts.lowner)
+            .unwrap()
+            .holds());
+        // Both sides are diagonal, and neither comparison (the one inside
+        // the verify, the one above) built a dense 256×256 matrix.
+        for a in [&pre, &outcome.computed_pre] {
+            assert_eq!(a.len(), 1);
+            match &a.ops()[0] {
+                Predicate::Diagonal(d) => assert!(d.dense.get().is_none()),
+                other => panic!("expected a diagonal, got {other:?}"),
+            }
+        }
+        // The dense reference pipeline holds no diagonal.
+        let small = crate::casestudies::grover(3);
+        let dense = small
+            .verify_with(crate::transformer::VcOptions {
+                mode: small.mode,
+                factor_assertions: false,
+                ..Default::default()
+            })
+            .unwrap();
+        assert!(matches!(dense.computed_pre.ops()[0], Predicate::Dense(_)));
+    }
+
+    #[test]
+    fn diagonal_comparisons_record_the_diagonal_solver_path() {
+        let tracer = nqpv_telemetry::Tracer::create(true);
+        let opts = LownerOptions {
+            tracer,
+            ..LownerOptions::default()
+        };
+        let low = diagonal_assertion(&[0.2, 0.4]);
+        let high = diagonal_assertion(&[0.3, 0.9]);
+        assert!(low.le_inf(&high, opts).unwrap().holds());
+        assert!(!high.le_inf(&low, opts).unwrap().holds());
+        // Mixed sides go to the dense solver and record its paths.
+        let dense = Assertion::from_ops(2, vec![CMat::identity(2)]).unwrap();
+        assert!(low.le_inf(&dense, opts).unwrap().holds());
+        let data = tracer.finish().expect("live sink");
+        assert!(
+            data.tallies.contains(&("solver_path", "diagonal", 2)),
+            "{:?}",
+            data.tallies
+        );
+        assert!(
+            data.tallies.contains(&("solver_path", "cholesky", 1)),
+            "{:?}",
+            data.tallies
+        );
+        assert!(data.events.iter().any(|e| {
+            e.args.iter().any(|(k, v)| {
+                *k == "margin"
+                    && matches!(v, nqpv_telemetry::ArgValue::F64(m) if (*m - 0.5).abs() < 1e-12)
+            })
+        }));
+        // The tally feeds the obligations counter under path="diagonal".
+        let diagonal_total = || {
+            nqpv_telemetry::global()
+                .snapshot()
+                .into_iter()
+                .filter(|s| s.name == "nqpv_solver_obligations_total")
+                .filter(|s| s.labels.contains("\"diagonal\""))
+                .map(|s| match s.value {
+                    nqpv_telemetry::SampleValue::Counter(v) => v,
+                    _ => 0,
+                })
+                .sum::<u64>()
+        };
+        let before = diagonal_total();
+        nqpv_telemetry::record_job("verified", 1e-3, &data);
+        assert_eq!(diagonal_total(), before + 2);
+    }
+
+    /// Diagonal entries for the equivalence property: edge values (signed
+    /// zeros, subnormals, the `1 ± 1e-7` and `eps` boundaries, overflow,
+    /// `inf`, `NaN`) and ordinary values in `[-0.2, 1.2]`.
+    fn edge_or_ordinary(s: &mut u64) -> f64 {
+        const EDGES: [f64; 26] = [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            1e-310,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + 1e-7,
+            1.0 - 1e-7,
+            1.0 + 1.1e-7,
+            1.0 + 1e-6,
+            1.0 + 1.1e-6,
+            1.0 + f64::EPSILON,
+            1.0 - f64::EPSILON,
+            1e-7,
+            -1e-7,
+            -1.1e-7,
+            -1e-6,
+            -1.1e-6,
+            0.5,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        if s.is_multiple_of(3) {
+            (*s >> 11) as f64 / (1u64 << 53) as f64 * 1.4 - 0.2
+        } else {
+            EDGES[(*s >> 8) as usize % EDGES.len()]
+        }
+    }
+
+    /// A comparable rendering of an `⊑_inf` outcome: the verdict with the
+    /// violation's index, margin bits and witness basis index, or the
+    /// error text.
+    fn outcome(r: Result<Verdict, VerifError>) -> String {
+        match r {
+            Ok(Verdict::Holds) => "holds".into(),
+            Ok(Verdict::Violated(v)) => {
+                let basis = (0..v.witness.rows()).find(|&i| v.witness[(i, i)].re == 1.0);
+                format!(
+                    "violated #{} margin {:#x} witness {basis:?} {:?}",
+                    v.index,
+                    v.margin.to_bits(),
+                    bits(&v.witness)
+                )
+            }
+            Ok(Verdict::Inconclusive {
+                index,
+                lower,
+                upper,
+            }) => format!(
+                "inconclusive #{index} [{:#x}, {:#x}]",
+                lower.to_bits(),
+                upper.to_bits()
+            ),
+            Err(e) => format!("error {e}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn diagonal_results_equal_the_dense_functions_on_the_materialised_matrix(
+            seed in 1u64..u64::MAX,
+            k in 0usize..=3,
+            n_theta in 1usize..=2,
+            n_psi in 1usize..=2,
+        ) {
+            let mut s = seed;
+            let dim = 1usize << k;
+            let theta: Vec<Vec<f64>> = (0..n_theta)
+                .map(|_| (0..dim).map(|_| edge_or_ordinary(&mut s)).collect())
+                .collect();
+            // Half of the Ψ elements sit within a few eps of Θ's first
+            // element, so both sides of the eps boundary come up often.
+            let psi: Vec<Vec<f64>> = (0..n_psi)
+                .map(|_| {
+                    let near = edge_or_ordinary(&mut s).to_bits().is_multiple_of(2);
+                    (0..dim)
+                        .map(|i| {
+                            let x = edge_or_ordinary(&mut s);
+                            if near {
+                                const DELTAS: [f64; 9] =
+                                    [0.0, 5e-8, 9e-8, 1e-7, 1.1e-7, 1.4e-7, 2e-7, 1e-6, 1.1e-6];
+                                let delta = DELTAS[(s >> 5) as usize % DELTAS.len()];
+                                theta[0][i] + if s.is_multiple_of(2) { delta } else { -delta }
+                            } else {
+                                x
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let as_diag = |side: &[Vec<f64>]| {
+                Assertion::from_predicates(
+                    dim,
+                    side.iter().map(|d| Predicate::from_diagonal(d.clone())).collect(),
+                )
+                .unwrap()
+            };
+            let as_dense = |side: &[Vec<f64>]| {
+                Assertion::from_ops(
+                    dim,
+                    side.iter()
+                        .map(|d| Predicate::from_diagonal(d.clone()).dense().clone())
+                        .collect(),
+                )
+                .unwrap()
+            };
+            // is_predicate, at the resolve tolerance, the solver eps and 0.
+            for d in theta.iter().chain(&psi) {
+                let p = Predicate::from_diagonal(d.clone());
+                for tol in [1e-6, nqpv_solver::DEFAULT_EPS, 0.0] {
+                    proptest::prop_assert_eq!(
+                        p.is_predicate(tol),
+                        nqpv_linalg::is_predicate(p.dense(), tol),
+                        "diag {:?} tol {}", d, tol
+                    );
+                }
+            }
+            // ⊑_inf: verdict, margin bits and witness.
+            let (td, pd) = (as_diag(&theta), as_diag(&psi));
+            let (tm, pm) = (as_dense(&theta), as_dense(&psi));
+            let opts = LownerOptions::default();
+            proptest::prop_assert_eq!(
+                outcome(td.le_inf(&pd, opts)),
+                outcome(tm.le_inf(&pm, opts)),
+                "theta {:?} psi {:?}", theta, psi
+            );
+            // dense() bits: a resolved term against the dense embedding,
+            // on random positions of a register of up to four qubits.
+            let n = k + (s % 2) as usize;
+            let mut pos: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                pos.swap(i, (s >> (i + 3)) as usize % (i + 1));
+            }
+            pos.truncate(k);
+            let m = CMat::diag(
+                &theta[0]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &x)| {
+                        let im = if (s >> i) & 7 == 0 { -0.0 } else { 0.0 };
+                        nqpv_linalg::c(x, im)
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            let p = resolve_term(&m, &pos, n, true);
+            if !p.is_factored() {
+                proptest::prop_assert_eq!(bits(p.dense()), bits(&embed(&m, &pos, n)));
+            }
+        }
     }
 
     #[test]

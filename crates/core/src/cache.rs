@@ -71,9 +71,11 @@ pub trait TransformerCache: Send + Sync {
 /// operator — e.g. the same invariant reached through different transform
 /// orders, or loaded in different jobs — produce the same key, so the
 /// verdict tier (and its on-disk backend) is representation-independent.
-/// The dense operator is never materialised to build a key. Quantisation
-/// can only conflate operators equal to ~10⁻⁹ entry-wise, three orders
-/// below the default solver precision, where the verdicts coincide anyway.
+/// Diagonal predicates hash the exact bits of their diagonal under a tag
+/// of their own. The dense operator is never materialised to build a
+/// key. Quantisation can only conflate operators equal to ~10⁻⁹
+/// entry-wise, three orders below the default solver precision, where
+/// the verdicts coincide anyway.
 pub fn verdict_key(
     tag: u8,
     theta: &crate::assertion::Assertion,
@@ -309,14 +311,25 @@ impl KeyHasher {
         }
     }
 
-    /// Exact-bits hash of a predicate: dense matrices and factored forms
-    /// hash their own representation (under distinct tags), so no dense
-    /// materialisation happens on the key path. Different factorings of
-    /// the same operator hash apart — that only costs cache hits, never
-    /// correctness, and the pipeline is deterministic so byte-identical
-    /// jobs reproduce byte-identical factors. The **transformer tier**
-    /// uses this exact form; the verdict tier canonicalises factors
-    /// instead (see [`KeyHasher::write_predicate_canonical`]).
+    /// Exact-bits hash of a real diagonal under the diagonal tag, length
+    /// included: the key of a diagonal predicate in both cache tiers.
+    fn write_diagonal(&mut self, d: &[f64]) {
+        self.write_u8(0xDA);
+        self.write_usize(d.len());
+        for &x in d {
+            self.write_f64(x);
+        }
+    }
+
+    /// Exact-bits hash of a predicate: dense matrices, factored forms and
+    /// diagonals hash their own representation (under distinct tags), so
+    /// no dense materialisation happens on the key path. Different
+    /// factorings of the same operator hash apart — that only costs cache
+    /// hits, never correctness, and the pipeline is deterministic so
+    /// byte-identical jobs reproduce byte-identical factors. The
+    /// **transformer tier** uses this exact form; the verdict tier
+    /// canonicalises factors instead (see
+    /// [`KeyHasher::write_predicate_canonical`]).
     pub(crate) fn write_predicate(&mut self, p: &crate::assertion::Predicate) {
         match p {
             crate::assertion::Predicate::Dense(m) => {
@@ -327,6 +340,7 @@ impl KeyHasher {
                 self.write_u8(0xF0);
                 self.write_matrix(f.v());
             }
+            crate::assertion::Predicate::Diagonal(d) => self.write_diagonal(d.diag()),
         }
     }
 
@@ -346,6 +360,7 @@ impl KeyHasher {
                 self.write_u8(0xF1);
                 self.write_matrix_quantised(f.canonical(), VERDICT_KEY_QUANT);
             }
+            crate::assertion::Predicate::Diagonal(d) => self.write_diagonal(d.diag()),
         }
     }
 

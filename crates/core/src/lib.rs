@@ -33,7 +33,7 @@ mod session;
 mod transformer;
 mod verifier;
 
-pub use assertion::{Assertion, Factor, Predicate};
+pub use assertion::{Assertion, Diagonal, Factor, Predicate};
 pub use cache::{
     decode_verdict, encode_verdict, verdict_key, CacheKey, TransformerCache, VERDICT_KEY_SCHEMA,
     VERDICT_TAG_INF, VERDICT_TAG_SUP,

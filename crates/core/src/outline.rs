@@ -97,9 +97,9 @@ fn probe_vector(dim: usize) -> Vec<Complex> {
 fn probe_image(p: &Predicate) -> Vec<Complex> {
     let z = probe_vector(p.dim());
     match p {
-        Predicate::Dense(m) => (0..m.rows())
+        Predicate::Dense(_) | Predicate::Diagonal(_) => (0..p.rows())
             .map(|i| {
-                m.row(i)
+                p.row(i)
                     .iter()
                     .zip(&z)
                     .fold(Complex::ZERO, |acc, (a, b)| acc + *a * *b)

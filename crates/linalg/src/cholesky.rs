@@ -68,8 +68,8 @@ pub fn is_psd(a: &CMat, tol: f64) -> bool {
     if n == 0 {
         return true;
     }
-    if let Some(min_diag) = diagonal_min(a) {
-        return min_diag >= -tol.max(1e-14 * a.max_abs());
+    if let Some(diag) = exact_diagonal(a) {
+        return diagonal_is_psd(diag, tol);
     }
     let mut shifted = a.hermitize();
     // Scale-aware shift: tol is treated as absolute but we never shift by
@@ -181,11 +181,11 @@ pub(crate) fn pivoted_cholesky_capped(
 
 /// `Some(real diagonal)` when the matrix is **exactly** diagonal with
 /// real, non-NaN diagonal entries, else `None`. Shared by the PSD fast
-/// paths below and the low-rank factor detector: scaled identities,
-/// basis projectors and their differences — the dominant shapes once the
-/// wp pipeline runs factored — are decided in `O(d²)` through this
-/// instead of an `O(d³)` factorisation.
-pub(crate) fn exact_diagonal(a: &CMat) -> Option<Vec<f64>> {
+/// paths below, the structure detector and diagonal predicates: scaled
+/// identities, basis projectors and their differences — the dominant
+/// shapes once the wp pipeline runs factored — are decided in `O(d²)`
+/// through this instead of an `O(d³)` factorisation.
+pub fn exact_diagonal(a: &CMat) -> Option<Vec<f64>> {
     let d = a.rows();
     let mut diag = Vec::with_capacity(d);
     for i in 0..d {
@@ -204,9 +204,20 @@ pub(crate) fn exact_diagonal(a: &CMat) -> Option<Vec<f64>> {
     Some(diag)
 }
 
-/// Minimum entry of an exactly-diagonal matrix (see [`exact_diagonal`]).
-fn diagonal_min(a: &CMat) -> Option<f64> {
-    exact_diagonal(a).map(|d| d.iter().copied().fold(f64::INFINITY, f64::min))
+/// The PSD rule for an exactly-diagonal matrix given by its real
+/// diagonal: `min dᵢ ≥ −max(tol, 1e-14·max|dᵢ|)`. The one copy of the
+/// rule: [`is_psd`] and [`is_psd_pivoted`] apply it to the diagonal of
+/// an exactly-diagonal input, and diagonal predicates apply it without
+/// materialising a matrix, so both routes reach bitwise the same
+/// decision. `max|dᵢ|` is taken as `Complex::abs`, as `CMat::max_abs`
+/// takes it (the off-diagonal zeros cannot raise it).
+pub fn diagonal_is_psd(diag: impl IntoIterator<Item = f64>, tol: f64) -> bool {
+    let (mut min, mut max_abs) = (f64::INFINITY, 0.0f64);
+    for x in diag {
+        min = min.min(x);
+        max_abs = max_abs.max(Complex::real(x).abs());
+    }
+    min >= -tol.max(1e-14 * max_abs)
 }
 
 /// Symmetric row+column swap of a hermitian working matrix.
@@ -239,8 +250,8 @@ pub fn is_psd_pivoted(a: &CMat, tol: f64) -> bool {
     if n == 0 {
         return true;
     }
-    if let Some(min_diag) = diagonal_min(a) {
-        return min_diag >= -tol.max(1e-14 * a.max_abs());
+    if let Some(diag) = exact_diagonal(a) {
+        return diagonal_is_psd(diag, tol);
     }
     let mut shifted = a.hermitize();
     let shift = tol.max(1e-14 * shifted.max_abs());

@@ -17,9 +17,11 @@
 //!   column-pivoted QR;
 //! * [`hconcat`] — column concatenation (`VV† + WW† = [V W][V W]†`);
 //! * [`embed_factor`] — the cylinder extension of a factored operator;
-//! * [`low_rank_factor`] — rank detection on a dense PSD operator through
+//! * [`detect_structure`] — rank detection on a dense PSD operator through
 //!   [`pivoted_cholesky`](crate::pivoted_cholesky), used when assertions
-//!   are loaded so existing corpora benefit with no syntax change.
+//!   are loaded so existing corpora benefit with no syntax change; an
+//!   exactly-diagonal operator that gets no factor is reported as a
+//!   diagonal.
 
 use crate::cholesky::{exact_diagonal, pivoted_cholesky_capped};
 use crate::complex::Complex;
@@ -170,6 +172,18 @@ pub fn embed_factor(w: &CMat, positions: &[usize], n: usize) -> CMat {
     out
 }
 
+/// What [`detect_structure`] finds in a dense operator.
+#[derive(Debug, Clone)]
+pub enum Structure {
+    /// `M = V·V†` with `V` no wider than the rank budget.
+    Factor(CMat),
+    /// `M` is exactly diagonal (see [`exact_diagonal`]) but no factor
+    /// was taken (indefinite, or over the rank budget): its real diagonal.
+    Diagonal(Vec<f64>),
+    /// Neither: the operator stays dense.
+    Dense,
+}
+
 /// Rank detection on a dense operator: attempts `M = V·V†` with `V` of
 /// width equal to `M`'s numerical rank, refusing factors wider than
 /// `max_rank` (the caller's payoff threshold) — the factorisation aborts
@@ -180,37 +194,40 @@ pub fn embed_factor(w: &CMat, positions: &[usize], n: usize) -> CMat {
 ///
 /// * an **exact-diagonal screen** (`O(d²)`): scaled identities,
 ///   computational-basis projectors and their differences — the dominant
-///   shapes in practice — read their rank straight off the diagonal;
+///   shapes in practice — read their rank straight off the diagonal, and
+///   those the rule declines come back as [`Structure::Diagonal`];
 /// * a diagonal-pivoted Cholesky elimination (`O(d·r²)` Schur updates for
 ///   a rank-`r` input: a rank-1 projector at dimension 1024 factors in
 ///   microseconds, where a full eigendecomposition would take seconds),
 ///   followed by a residual guard `‖VV† − M‖_max ≤ tol`.
 ///
-/// Returns `None` when `M` is not PSD within tolerance, the rank budget
-/// is exceeded, or the residual fails — callers then keep the dense form.
-pub fn low_rank_factor(m: &CMat, tol: f64, max_rank: usize) -> Option<CMat> {
+/// Returns [`Structure::Dense`] when neither tier applies — callers then
+/// keep the dense form.
+pub fn detect_structure(m: &CMat, tol: f64, max_rank: usize) -> Structure {
     if !m.is_square() {
-        return None;
+        return Structure::Dense;
     }
     let d = m.rows();
     let stop = FACTOR_RANK_RTOL * m.max_abs().max(1e-300);
     // Tier 1: exactly diagonal operators.
     if let Some(diag) = exact_diagonal(m) {
         if diag.iter().any(|&x| x < -stop) {
-            return None; // indefinite
+            return Structure::Diagonal(diag); // indefinite
         }
         let nz: Vec<usize> = (0..d).filter(|&i| diag[i] > stop).collect();
         if nz.len() > max_rank {
-            return None;
+            return Structure::Diagonal(diag);
         }
         let mut v = CMat::zeros(d, nz.len());
         for (j, &i) in nz.iter().enumerate() {
             v[(i, j)] = Complex::real(diag[i].sqrt());
         }
-        return Some(v);
+        return Structure::Factor(v);
     }
     // Tier 2: rank-capped pivoted Cholesky.
-    let (l, perm, rank) = pivoted_cholesky_capped(m, stop, max_rank)?;
+    let Some((l, perm, rank)) = pivoted_cholesky_capped(m, stop, max_rank) else {
+        return Structure::Dense;
+    };
     // Undo the pivot permutation: M = Pᵀ·L·L†·P, so V[perm[i]] = L[i].
     let mut v = CMat::zeros(d, rank);
     for i in 0..d {
@@ -227,11 +244,11 @@ pub fn low_rank_factor(m: &CMat, tol: f64, max_rank: usize) -> Option<CMat> {
                 acc += v[(i, k)] * v[(j, k)].conj();
             }
             if !(acc - m[(i, j)]).is_zero(bound) {
-                return None;
+                return Structure::Dense;
             }
         }
     }
-    Some(v)
+    Structure::Factor(v)
 }
 
 /// Relative gap below which two descending Gram eigenvalues are treated
@@ -579,6 +596,37 @@ mod tests {
         let w = CMat::zeros(2, 0);
         let v = embed_factor(&w, &[1], 2);
         assert_eq!((v.rows(), v.cols()), (4, 0));
+    }
+
+    /// The factor [`detect_structure`] finds, if any.
+    fn low_rank_factor(m: &CMat, tol: f64, max_rank: usize) -> Option<CMat> {
+        match detect_structure(m, tol, max_rank) {
+            Structure::Factor(v) => Some(v),
+            Structure::Diagonal(_) | Structure::Dense => None,
+        }
+    }
+
+    #[test]
+    fn detect_structure_reports_declined_exact_diagonals() {
+        // Full rank over the budget, and indefinite: diagonal, not dense.
+        let id = CMat::identity(4).scale_re(0.25);
+        match detect_structure(&id, 1e-8, 2) {
+            Structure::Diagonal(d) => assert_eq!(d, vec![0.25; 4]),
+            other => panic!("{other:?}"),
+        }
+        let z = CMat::diag(&[Complex::real(1.0), Complex::real(-1.0)]);
+        assert!(matches!(
+            detect_structure(&z, 1e-8, 2),
+            Structure::Diagonal(_)
+        ));
+        // Within budget: a factor; off-diagonal and full rank: dense.
+        let p0 = CVec::basis(4, 2).projector();
+        assert!(matches!(
+            detect_structure(&p0, 1e-8, 2),
+            Structure::Factor(_)
+        ));
+        let x = CMat::from_real(2, 2, &[0.5, 0.25, 0.25, 0.5]);
+        assert!(matches!(detect_structure(&x, 1e-8, 1), Structure::Dense));
     }
 
     #[test]

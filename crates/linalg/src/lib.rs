@@ -44,12 +44,13 @@ pub mod par;
 mod tensor;
 
 pub use cholesky::{
-    cholesky, is_partial_density, is_predicate, is_psd, is_psd_pivoted, lowner_le, pivoted_cholesky,
+    cholesky, diagonal_is_psd, exact_diagonal, is_partial_density, is_predicate, is_psd,
+    is_psd_pivoted, lowner_le, pivoted_cholesky,
 };
 pub use complex::{c, cr, Complex, TOL};
 pub use eigen::{eigh, max_eigenvalue, min_eigenvalue, sqrtm_psd, Eigh, EighError};
 pub use factor::{
-    canonical_factor, embed_factor, factor_recompress, gram, hconcat, low_rank_factor,
+    canonical_factor, detect_structure, embed_factor, factor_recompress, gram, hconcat, Structure,
     CANONICAL_CLUSTER_RTOL, FACTOR_RANK_RTOL,
 };
 pub use matrix::{CMat, CVec};
@@ -57,5 +58,5 @@ pub use npy::{read_matrix, read_matrix_bytes, write_matrix, write_matrix_bytes, 
 pub use tensor::{
     adjoint_conjugate_gate, apply_gate_columns, apply_gate_columns_adjoint, apply_gate_left,
     apply_gate_right_adjoint, apply_gate_vec, bit_of, conjugate_gate, deposit_bits, embed,
-    index_of_bits, partial_trace, permute_qubits,
+    embed_diagonal, index_of_bits, partial_trace, permute_qubits,
 };

@@ -91,6 +91,31 @@ pub fn embed(op: &CMat, positions: &[usize], n: usize) -> CMat {
     out
 }
 
+/// The diagonal of [`embed`]`(D, positions, n)` for a `k`-qubit diagonal
+/// operator `D` given by its real diagonal: entry `i` of the result is
+/// `D[x]`, where `x` is the sub-index of `positions` in `i`. A gather of
+/// `2ⁿ` entries instead of a `4ⁿ` matrix.
+///
+/// # Panics
+///
+/// Panics if `diag` does not have `2^k` entries or positions are invalid.
+///
+/// # Examples
+///
+/// ```
+/// use nqpv_linalg::embed_diagonal;
+/// // diag(1, 0) on qubit 1 of 2 = I ⊗ diag(1, 0)
+/// assert_eq!(embed_diagonal(&[1.0, 0.0], &[1], 2), vec![1.0, 0.0, 1.0, 0.0]);
+/// ```
+pub fn embed_diagonal(diag: &[f64], positions: &[usize], n: usize) -> Vec<f64> {
+    let k = positions.len();
+    assert_eq!(diag.len(), 1usize << k, "operator acts on {k} qubits");
+    validate_positions(positions, n);
+    (0..1usize << n)
+        .map(|i| diag[extract_sub_index(i, positions, n)])
+        .collect()
+}
+
 /// Extracts the sub-index of `positions` bits from full index `i`.
 #[inline]
 fn extract_sub_index(i: usize, positions: &[usize], n: usize) -> usize {
@@ -559,6 +584,20 @@ mod tests {
                 0.0, 0.0, 1.0, 0.0,
             ],
         )
+    }
+
+    #[test]
+    fn embed_diagonal_is_the_diagonal_of_embed() {
+        let d = [0.5, -0.25, 1.0, 0.125];
+        let op = CMat::diag(&d.map(Complex::real));
+        for positions in [[0usize, 1], [1, 0], [2, 0], [1, 3]] {
+            let dense = embed(&op, &positions, 4);
+            let diag = embed_diagonal(&d, &positions, 4);
+            assert_eq!(diag.len(), 16);
+            for (i, x) in diag.iter().enumerate() {
+                assert_eq!(dense[(i, i)].re.to_bits(), x.to_bits(), "{positions:?} {i}");
+            }
+        }
     }
 
     #[test]

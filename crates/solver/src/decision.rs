@@ -27,7 +27,7 @@
 use crate::lanczos::{max_eigenpair, min_eigenpair, LanczosOptions};
 use crate::primal::{max_min_expectation, PrimalOptions};
 use crate::simplex::{exp_gradient_step, uniform};
-use nqpv_linalg::{is_psd_pivoted, CMat, CVec};
+use nqpv_linalg::{diagonal_is_psd, is_psd_pivoted, CMat, CVec};
 use nqpv_telemetry::{ArgValue, Deadline, Phase, Tracer};
 use std::fmt;
 
@@ -376,13 +376,25 @@ fn record_outcome(span: &mut nqpv_telemetry::Span, verdict: &Verdict) {
 /// a positive game value exactly (no iteration needed). Returns the best
 /// such witness. `O(k·d)` — negligible next to one Lanczos sweep.
 fn diag_violation(diffs: &[CMat], index: usize, eps: f64) -> Option<Violation> {
-    let d = diffs[0].rows();
-    let mut best: Option<(usize, f64)> = None;
-    for i in 0..d {
-        let margin = diffs
+    basis_violation(diffs[0].rows(), index, eps, |i| {
+        diffs
             .iter()
             .map(|a| a[(i, i)].re)
-            .fold(f64::INFINITY, f64::min);
+            .fold(f64::INFINITY, f64::min)
+    })
+}
+
+/// The scan behind [`diag_violation`], over `margin(i) = min_j A_j[i][i]`
+/// for `i < d`: the first basis index with the largest margin above `eps`.
+fn basis_violation(
+    d: usize,
+    index: usize,
+    eps: f64,
+    margin: impl Fn(usize) -> f64,
+) -> Option<Violation> {
+    let mut best: Option<(usize, f64)> = None;
+    for i in 0..d {
+        let margin = margin(i);
         if margin > eps && best.is_none_or(|(_, m)| margin > m) {
             best = Some((i, margin));
         }
@@ -392,6 +404,43 @@ fn diag_violation(diffs: &[CMat], index: usize, eps: f64) -> Option<Violation> {
         witness: CVec::basis(d, i).projector(),
         margin,
     })
+}
+
+/// [`assertion_le`] on exactly-diagonal operators, each given by its real
+/// diagonal, in `O(|Θ|·|Ψ|·d)`: per `N ∈ Ψ`, the certifying test
+/// `N − M ⪰ 0` for some `M ∈ Θ` is the diagonal PSD rule
+/// ([`diagonal_is_psd`]) and the violating side is the basis scan of
+/// [`assertion_le`]'s diag-scan path. Decided verdicts, margins and
+/// witnesses are bitwise those of [`assertion_le`] on the materialised
+/// matrices. `None` means undecided here (empty or mismatched sides,
+/// non-finite entries, or an obligation that needs the matrix game):
+/// [`assertion_le`] on the dense forms then decides, or reports the error.
+pub fn diagonal_assertion_le(theta: &[&[f64]], psi: &[&[f64]], eps: f64) -> Option<Verdict> {
+    let d = theta.first()?.len();
+    if psi.is_empty()
+        || theta
+            .iter()
+            .chain(psi)
+            .any(|x| x.len() != d || !x.iter().all(|v| v.is_finite()))
+    {
+        return None;
+    }
+    for (ni, n) in psi.iter().enumerate() {
+        if theta
+            .iter()
+            .any(|m| diagonal_is_psd(n.iter().zip(*m).map(|(a, b)| a - b), eps))
+        {
+            continue;
+        }
+        let v = basis_violation(d, ni, eps, |i| {
+            theta
+                .iter()
+                .map(|m| m[i] - n[i])
+                .fold(f64::INFINITY, f64::min)
+        })?;
+        return Some(Verdict::Violated(v));
+    }
+    Some(Verdict::Holds)
 }
 
 /// Decides the angelic order `Θ ⊑_sup Ψ` within `opts.eps`

@@ -29,9 +29,9 @@ mod primal;
 mod simplex;
 
 pub use decision::{
-    assertion_le, assertion_le_sup, factored_lowner_le, factored_lowner_le_witnessed, game_value,
-    lowner_le_eps, lowner_le_witnessed, EigenWitness, GameOutcome, LownerOptions, SolverError,
-    Verdict, Violation, WitnessedVerdict, DEFAULT_EPS,
+    assertion_le, assertion_le_sup, diagonal_assertion_le, factored_lowner_le,
+    factored_lowner_le_witnessed, game_value, lowner_le_eps, lowner_le_witnessed, EigenWitness,
+    GameOutcome, LownerOptions, SolverError, Verdict, Violation, WitnessedVerdict, DEFAULT_EPS,
 };
 pub use lanczos::{max_eigenpair, min_eigenpair, ExtremePair, LanczosOptions};
 pub use primal::{max_min_expectation, project_to_density, PrimalOptions};

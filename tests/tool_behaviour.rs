@@ -228,7 +228,7 @@ fn cli_outputs_match_the_golden_fixtures() {
         );
         cases += 1;
     }
-    assert_eq!(cases, 44, "every fixture case ran");
+    assert_eq!(cases, 51, "every fixture case ran");
 }
 
 #[test]
@@ -856,15 +856,34 @@ fn cli_serve_and_client_roundtrip() {
     assert!(status.success(), "daemon exit: {status:?}");
 }
 
-/// Extracts the integer value of `"key":N` from a compact NDJSON line.
-fn stat_field(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let digits: String = line[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+/// The integer field `key` of the first `stats` reply in an NDJSON stream.
+fn stat_field(stream: &str, key: &str) -> Option<u64> {
+    ndjson(stream)
+        .into_iter()
+        .find(|e| e.get("event").and_then(Json::as_str) == Some("stats"))?
+        .get(key)?
+        .as_u64()
+}
+
+/// Every line of an NDJSON stream, parsed.
+fn ndjson(stream: &str) -> Vec<Json> {
+    stream
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("{l:?}: {e}")))
+        .collect()
+}
+
+/// `name → status` of the verdict events in a client submit stream.
+fn streamed_statuses(stream: &str) -> std::collections::BTreeMap<String, String> {
+    ndjson(stream)
+        .iter()
+        .filter(|e| e.get("event").and_then(Json::as_str) == Some("verdict"))
+        .map(|e| {
+            let field = |k: &str| e.get(k).and_then(Json::as_str).expect(k).to_string();
+            (field("name"), field("status"))
+        })
+        .collect()
 }
 
 #[test]
@@ -872,11 +891,30 @@ fn cli_serve_survives_injected_faults_with_verdicts_intact() {
     // Chaos smoke: run the daemon under the deterministic fault harness
     // (one worker panic, two dropped disk reads, one dropped disk write,
     // one dropped connection, two solver stalls — all capped so the run
-    // is reproducible) and check that every corpus verdict matches the
-    // fault-free roundtrip. Faults are enabled only in the serve process;
-    // client subprocesses inherit a clean environment.
+    // is reproducible) and check that every corpus verdict matches a
+    // fault-free `nqpv batch` of the same corpus. Faults are enabled only
+    // in the serve process; batch and client subprocesses inherit a clean
+    // environment.
     let Some(bin) = nqpv_bin() else { return };
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // The fault-free reference: `nqpv batch` over the same corpus.
+    let batch = std::process::Command::new(&bin)
+        .current_dir(root)
+        .args(["batch", "examples/corpus", "--json"])
+        .output()
+        .expect("batch runs");
+    assert_eq!(batch.status.code(), Some(1), "{batch:?}");
+    let report = Json::parse(&String::from_utf8_lossy(&batch.stdout)).expect("batch JSON parses");
+    let fault_free: std::collections::BTreeMap<String, String> = report
+        .get("jobs")
+        .and_then(Json::as_arr)
+        .expect("jobs array")
+        .iter()
+        .map(|j| {
+            let field = |k: &str| j.get(k).and_then(Json::as_str).expect(k).to_string();
+            (field("name"), field("status"))
+        })
+        .collect();
     let cache = temp_dir("chaos_cache");
     let _ = std::fs::remove_dir_all(&cache);
     let cache_str = cache.display().to_string();
@@ -925,6 +963,8 @@ fn cli_serve_survives_injected_faults_with_verdicts_intact() {
     let submit = client(&["submit", "examples/corpus"]);
     assert_eq!(submit.status.code(), Some(1), "{submit:?}");
     let stream = String::from_utf8_lossy(&submit.stdout);
+    let served = streamed_statuses(&stream);
+    assert_eq!(served, fault_free, "verdicts under injected faults");
     for (file, status) in [
         ("deutsch", "verified"),
         ("err_corr", "verified"),
@@ -935,9 +975,9 @@ fn cli_serve_survives_injected_faults_with_verdicts_intact() {
         ("rejected_ndet", "rejected"),
         ("parse_error", "error"),
     ] {
-        let needle = format!("\"name\":\"{file}\",\"status\":\"{status}\"");
-        assert!(
-            stream.contains(&needle),
+        assert_eq!(
+            served.get(file).map(String::as_str),
+            Some(status),
             "{file} must keep status {status} under faults: {stream}"
         );
     }
@@ -968,7 +1008,7 @@ fn cli_serve_job_timeout_flags_runaway_jobs_and_daemon_survives() {
     let Some(bin) = nqpv_bin() else { return };
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let dir = temp_dir("timeout_heavy");
-    let body = "[a] *= H; [b] *= H; ".repeat(4000);
+    let body = "[a] *= H; [b] *= H; ".repeat(20000);
     let heavy = dir.join("heavy.nqpv");
     std::fs::write(
         &heavy,
@@ -1016,12 +1056,21 @@ fn cli_serve_job_timeout_flags_runaway_jobs_and_daemon_survives() {
     let elapsed = started.elapsed();
     assert_eq!(submit.status.code(), Some(1), "{submit:?}");
     let stream = String::from_utf8_lossy(&submit.stdout);
-    assert!(
-        stream.contains("\"status\":\"timeout\""),
+    let verdicts: Vec<Json> = ndjson(&stream)
+        .into_iter()
+        .filter(|e| e.get("event").and_then(Json::as_str) == Some("verdict"))
+        .collect();
+    assert_eq!(verdicts.len(), 1, "{stream}");
+    assert_eq!(
+        verdicts[0].get("status").and_then(Json::as_str),
+        Some("timeout"),
         "runaway job must time out: {stream}"
     );
     assert!(
-        stream.contains("deadline exceeded"),
+        verdicts[0]
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("deadline exceeded")),
         "timeout verdict names the deadline: {stream}"
     );
     assert!(
@@ -1032,7 +1081,14 @@ fn cli_serve_job_timeout_flags_runaway_jobs_and_daemon_survives() {
     // The worker survived the cancelled job: a quick file still verifies.
     let quick = client(&["submit", "examples/corpus/deutsch.nqpv"]);
     assert_eq!(quick.status.code(), Some(0), "{quick:?}");
-    assert!(String::from_utf8_lossy(&quick.stdout).contains("\"status\":\"verified\""));
+    let quick_stream = String::from_utf8_lossy(&quick.stdout);
+    assert_eq!(
+        streamed_statuses(&quick_stream)
+            .get("deutsch")
+            .map(String::as_str),
+        Some("verified"),
+        "{quick_stream}"
+    );
 
     let stats = client(&["stats"]);
     let stats_line = String::from_utf8_lossy(&stats.stdout).to_string();
