@@ -11,7 +11,6 @@
 //! nqpv batch DIR             verify every .nqpv under DIR in parallel
 //! nqpv serve --addr H:P      run the verification daemon (NDJSON/TCP)
 //! nqpv client ADDR CMD …     talk to a running daemon
-//! nqpv top ADDR              live terminal dashboard over a daemon
 //! nqpv ops                   list the built-in operator library
 //! ```
 //!
@@ -45,7 +44,6 @@ fn main() -> ExitCode {
         Some("batch") => cmd_batch(&args[1..], infer),
         Some("serve") => cmd_serve(&args[1..], infer),
         Some("client") => cmd_client(&args[1..]),
-        Some("top") => cmd_top(&args[1..]),
         Some("ops") => cmd_ops(),
         _ => usage(),
     }
@@ -53,7 +51,7 @@ fn main() -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  nqpv verify [--infer] FILE.nqpv\n  nqpv explain [--infer] [--json] [--trace DIR] [--profile-out FILE]\n              [--kernel-threads N] FILE.nqpv\n  nqpv show [--infer] FILE.nqpv NAME\n  nqpv check FILE.nqpv\n  nqpv batch [--infer] [--jobs N] [--json] [--no-cache] [--cache-cap N]\n             [--cache-dir DIR] [--cache-max-bytes N] [--no-bin]\n             [--explain] [--trace DIR] [--flight-dir DIR]\n             [--job-timeout SECS] [--kernel-threads N]\n             [--profile-out FILE] DIR|MANIFEST\n  nqpv serve --addr HOST:PORT [--infer] [--jobs N] [--no-cache]\n             [--cache-cap N] [--cache-dir DIR] [--cache-max-bytes N]\n             [--max-queue N] [--max-per-client N] [--job-timeout SECS]\n             [--drain-timeout SECS] [--explain] [--metrics-addr HOST:PORT]\n             [--flight-dir DIR] [--log-level LVL] [--log-json]\n             [--kernel-threads N] [--sample-secs N]\n             [--slo-ms N] [--trace-store N]\n  nqpv client ADDR submit [--priority N] [--trace-out DIR] PATH…\n                                                 submit + stream verdicts\n  nqpv client ADDR watch                         stream every job event\n  nqpv client ADDR stats|ping|series|profile\n  nqpv client ADDR shutdown [--drain]\n  nqpv top ADDR [--once] [--interval SECS]   live terminal dashboard\n  nqpv ops\n\n  --infer        attempt wlp-fixpoint invariant inference for\n                 while loops lacking an inv: annotation\n  --jobs N       worker threads (default: available cores)\n  --kernel-threads N\n                 data-parallel threads *inside* each job's linalg\n                 kernels (default: 1, or NQPV_KERNEL_THREADS); results\n                 are bitwise identical for every value\n  --json         print the report as JSON instead of a summary\n  --no-cache     disable the shared wp memo cache\n  --cache-cap N  bound each cache tier to N entries (LRU eviction;\n                 eviction counts appear in the report)\n  --cache-dir D  persist solver verdicts under D (survives restarts,\n                 shared between batch runs and the daemon)\n  --cache-max-bytes N\n                 size budget for the verdict store under --cache-dir:\n                 oldest records are evicted to stay under N bytes\n  --no-bin       disable verdict-cache affinity scheduling\n  --explain      extract a counterexample (witness state, scheduler\n                 trace, expectation trajectory) for every rejected proof\n  --trace DIR    write one Chrome trace-event JSON per job under DIR\n                 (open in chrome://tracing or Perfetto)\n  --trace-out DIR\n                 (client submit) mint a wire trace id, propagate it to\n                 the daemon, and write one *stitched* Chrome trace per\n                 job under DIR combining the client's submit/wait spans\n                 with the daemon's queue/worker spans\n  --flight-dir DIR\n                 write flight-recorder snapshots (recent span/log\n                 events as JSON) under DIR on panics, timeouts and\n                 error verdicts — and on 'dump_flight' requests\n  --log-level LVL\n                 daemon stderr log threshold: error|warn|info|debug\n                 (default info)\n  --log-json     emit daemon logs as JSON lines instead of plain text\n  --job-timeout SECS\n                 per-job verification deadline: a job still unverified\n                 after SECS is stopped cooperatively and reported with\n                 a 'timeout' verdict\n  --max-queue N  refuse submissions once N jobs are queued (daemon\n                 backpressure; structured 'overloaded' reply)\n  --max-per-client N\n                 bound one connection's queued+running jobs to N\n                 (client-scoped 'overloaded' reply)\n  --drain-timeout SECS\n                 bound on 'shutdown --drain' backlog completion\n                 (default 30)\n  --metrics-addr HOST:PORT\n                 serve Prometheus text metrics at http://HOST:PORT/metrics\n                 (plus /healthz readiness and /series ring dump)\n  --sample-secs N\n                 metrics time-series sampling interval for the in-daemon\n                 ring (default 5)\n  --slo-ms N     per-job latency objective: track jobs within/over N ms\n                 and an error-budget burn-rate gauge (99% objective)\n  --trace-store N\n                 finished-trace FIFO capacity for wire-trace stitching\n                 (default 256; evictions are counted)\n  --profile-out FILE\n                 write a collapsed-stack self-time profile (folded\n                 flamegraph text: 'stack;frames count-in-us' lines)\n  --once         (top) render one dashboard frame and exit\n  --interval SECS\n                 (top) seconds between dashboard refreshes (default 2)\n  --priority N   scheduling priority for submitted jobs (higher first)\n  --drain        (client shutdown) finish the whole backlog before the\n                 daemon stops, instead of dropping queued jobs\n\nenvironment:\n  NQPV_FAULTS=<seed>:<site>[*<cap>],…\n                 arm the deterministic fault-injection harness (sites:\n                 worker_panic, solver_delay, disk_read, disk_write,\n                 conn_drop); inert when unset\n  NQPV_KERNEL_THREADS=N\n                 default kernel thread count when --kernel-threads\n                 is not given"
+        "usage:\n  nqpv verify [--infer] FILE.nqpv\n  nqpv explain [--infer] [--json] [--trace DIR] [--profile-out FILE]\n              [--kernel-threads N] FILE.nqpv\n  nqpv show [--infer] FILE.nqpv NAME\n  nqpv check FILE.nqpv\n  nqpv batch [--infer] [--jobs N] [--json] [--no-cache] [--cache-cap N]\n             [--cache-dir DIR] [--cache-max-bytes N] [--explain]\n             [--trace DIR] [--flight-dir DIR] [--job-timeout SECS]\n             [--kernel-threads N] [--profile-out FILE] DIR|MANIFEST\n  nqpv serve --addr HOST:PORT [--infer] [--jobs N] [--no-cache]\n             [--cache-cap N] [--cache-dir DIR] [--cache-max-bytes N]\n             [--max-queue N] [--max-per-client N] [--job-timeout SECS]\n             [--drain-timeout SECS] [--explain] [--metrics-addr HOST:PORT]\n             [--flight-dir DIR] [--log-level LVL] [--log-json]\n             [--kernel-threads N] [--trace-store N]\n  nqpv client ADDR submit [--priority N] [--trace-out DIR] PATH…\n                                                 submit + stream verdicts\n  nqpv client ADDR watch                         stream every job event\n  nqpv client ADDR stats|ping|profile\n  nqpv client ADDR shutdown [--drain]\n  nqpv ops\n\n  --infer        attempt wlp-fixpoint invariant inference for\n                 while loops lacking an inv: annotation\n  --jobs N       worker threads (default: available cores)\n  --kernel-threads N\n                 data-parallel threads *inside* each job's linalg\n                 kernels (default: 1, or NQPV_KERNEL_THREADS); results\n                 are bitwise identical for every value\n  --json         print the report as JSON instead of a summary\n  --no-cache     disable the shared wp memo cache\n  --cache-cap N  bound each cache tier to N entries (LRU eviction;\n                 eviction counts appear in the report)\n  --cache-dir D  persist solver verdicts under D (survives restarts,\n                 shared between batch runs and the daemon)\n  --cache-max-bytes N\n                 size budget for the verdict store under --cache-dir:\n                 oldest records are evicted to stay under N bytes\n  --explain      extract a counterexample (witness state, scheduler\n                 trace, expectation trajectory) for every rejected proof\n  --trace DIR    write one Chrome trace-event JSON per job under DIR\n                 (open in chrome://tracing or Perfetto)\n  --trace-out DIR\n                 (client submit) mint a wire trace id, propagate it to\n                 the daemon, and write one *stitched* Chrome trace per\n                 job under DIR combining the client's submit/wait spans\n                 with the daemon's queue/worker spans\n  --flight-dir DIR\n                 write flight-recorder snapshots (recent span/log\n                 events as JSON) under DIR on panics, timeouts and\n                 error verdicts — and on 'dump_flight' requests\n  --log-level LVL\n                 daemon stderr log threshold: error|warn|info|debug\n                 (default info)\n  --log-json     emit daemon logs as JSON lines instead of plain text\n  --job-timeout SECS\n                 per-job verification deadline: a job still unverified\n                 after SECS is stopped cooperatively and reported with\n                 a 'timeout' verdict\n  --max-queue N  refuse submissions once N jobs are queued (daemon\n                 backpressure; structured 'overloaded' reply)\n  --max-per-client N\n                 bound one connection's queued+running jobs to N\n                 (client-scoped 'overloaded' reply)\n  --drain-timeout SECS\n                 bound on 'shutdown --drain' backlog completion\n                 (default 30)\n  --metrics-addr HOST:PORT\n                 serve Prometheus text metrics at http://HOST:PORT/metrics\n                 (plus /healthz readiness)\n  --trace-store N\n                 finished-trace FIFO capacity for wire-trace stitching\n                 (default 256; evictions are counted)\n  --profile-out FILE\n                 write a collapsed-stack self-time profile (folded\n                 flamegraph text: 'stack;frames count-in-us' lines)\n  --priority N   scheduling priority for submitted jobs (higher first)\n  --drain        (client shutdown) finish the whole backlog before the\n                 daemon stops, instead of dropping queued jobs\n\nenvironment:\n  NQPV_FAULTS=<seed>:<site>[*<cap>],…\n                 arm the deterministic fault-injection harness (sites:\n                 worker_panic, solver_delay, disk_read, disk_write,\n                 conn_drop); inert when unset\n  NQPV_KERNEL_THREADS=N\n                 default kernel thread count when --kernel-threads\n                 is not given"
     );
     ExitCode::from(2)
 }
@@ -290,7 +288,7 @@ fn positive_arg(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usi
 }
 
 /// `nqpv batch [--infer] [--jobs N] [--json] [--no-cache] [--cache-cap N]
-/// [--cache-dir DIR] [--no-bin] DIR|MANIFEST` — load a corpus (directory
+/// [--cache-dir DIR] DIR|MANIFEST` — load a corpus (directory
 /// of `.nqpv` files, or a manifest listing them) and verify it on a
 /// worker pool with a shared (optionally LRU-bounded, optionally
 /// disk-persistent) wp memo cache and verdict-affinity scheduling.
@@ -298,7 +296,6 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
     let mut jobs: usize = 0;
     let mut json = false;
     let mut use_cache = true;
-    let mut bin_jobs = true;
     let mut explain = false;
     let mut cache_cap: Option<usize> = None;
     let mut cache_dir: Option<&str> = None;
@@ -361,7 +358,6 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
             }
             "--json" => json = true,
             "--no-cache" => use_cache = false,
-            "--no-bin" => bin_jobs = false,
             "--explain" => explain = true,
             other if other.starts_with('-') => {
                 eprintln!("error: unknown batch flag '{other}'");
@@ -426,7 +422,6 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
             use_cache,
             cache_cap,
             disk,
-            bin_jobs,
             explain,
             trace_dir: trace_dir.map(std::path::PathBuf::from),
             flight_dir: flight_dir.map(std::path::PathBuf::from),
@@ -435,6 +430,7 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
                 infer_invariants: infer,
                 ..VcOptions::default()
             },
+            ..BatchOptions::default()
         },
     );
     if let Some(file) = profile_out {
@@ -536,14 +532,6 @@ fn cmd_serve(rest: &[String], infer: bool) -> ExitCode {
                 };
                 opts.metrics_addr = Some(a.to_string());
             }
-            "--sample-secs" => match positive_arg(&mut it, "--sample-secs") {
-                Ok(n) => opts.sample_secs = n as u64,
-                Err(code) => return code,
-            },
-            "--slo-ms" => match positive_arg(&mut it, "--slo-ms") {
-                Ok(n) => opts.slo_ms = Some(n as u64),
-                Err(code) => return code,
-            },
             "--trace-store" => match positive_arg(&mut it, "--trace-store") {
                 Ok(n) => opts.trace_store = n,
                 Err(code) => return code,
@@ -599,13 +587,6 @@ fn cmd_client(rest: &[String]) -> ExitCode {
         "watch" => client_watch(&mut client),
         "stats" => client_oneshot(&mut client, &Request::Stats),
         "ping" => client_oneshot(&mut client, &Request::Ping),
-        "series" => client_oneshot(
-            &mut client,
-            &Request::Series {
-                last: 0,
-                filter: None,
-            },
-        ),
         "profile" => client_oneshot(&mut client, &Request::Profile),
         // `Client::shutdown` tolerates the daemon closing the connection
         // before the reply is read — that still means a successful stop.
@@ -825,402 +806,6 @@ fn client_watch(client: &mut Client) -> std::io::Result<ExitCode> {
         println!("{}", event.to_line());
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// `nqpv top ADDR [--once] [--interval SECS]` — a live terminal dashboard
-/// over a running daemon, built from two protocol requests per frame:
-/// `stats` (queue depths, cache counters) and `series` (the daemon's
-/// in-memory metrics ring). Latency quantiles are interpolated from
-/// histogram bucket deltas re-accumulated across the ring window, so
-/// they describe *recent* jobs, not the whole process lifetime. Plain
-/// ANSI redraw; `--once` prints a single frame and exits (scriptable).
-fn cmd_top(rest: &[String]) -> ExitCode {
-    let mut once = false;
-    let mut interval = Duration::from_secs(2);
-    let mut addr: Option<&str> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--once" => once = true,
-            "--interval" => match positive_arg(&mut it, "--interval") {
-                Ok(n) => interval = Duration::from_secs(n as u64),
-                Err(code) => return code,
-            },
-            other if other.starts_with('-') => {
-                eprintln!("error: unknown top flag '{other}'");
-                return usage();
-            }
-            other => {
-                if addr.replace(other).is_some() {
-                    eprintln!("error: top expects exactly one ADDR");
-                    return usage();
-                }
-            }
-        }
-    }
-    let Some(addr) = addr else {
-        eprintln!("error: top expects a daemon ADDR");
-        return usage();
-    };
-    let mut client = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: connecting to {addr}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    loop {
-        let frame = match top_frame(&mut client, addr) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if once {
-            print!("{frame}");
-            return ExitCode::SUCCESS;
-        }
-        // Clear screen + home cursor; no terminal library, no raw mode —
-        // ^C exits, every frame is a full repaint.
-        print!("\x1b[2J\x1b[H{frame}");
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        std::thread::sleep(interval);
-    }
-}
-
-/// One metric observation inside a ring sample, as decoded from the
-/// daemon's `series` reply.
-enum TopValue {
-    Rate {
-        delta: u64,
-        per_sec: f64,
-    },
-    #[allow(dead_code)]
-    Gauge(i64),
-    Hist {
-        bounds: Vec<f64>,
-        deltas: Vec<u64>,
-        sum: f64,
-    },
-}
-
-struct TopPoint {
-    name: String,
-    labels: String,
-    value: TopValue,
-}
-
-struct TopSample {
-    points: Vec<TopPoint>,
-}
-
-/// Decodes the `series` JSON dump into typed samples, skipping anything
-/// malformed (forward compatibility: unknown kinds are ignored).
-fn parse_series(text: &str) -> Vec<TopSample> {
-    use nqpv_service::Json;
-    let Ok(root) = Json::parse(text) else {
-        return Vec::new();
-    };
-    let Some(samples) = root.get("samples").and_then(Json::as_arr) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for s in samples {
-        let mut points = Vec::new();
-        for p in s.get("points").and_then(Json::as_arr).unwrap_or(&[]) {
-            let (Some(name), Some(kind)) = (
-                p.get("name").and_then(Json::as_str),
-                p.get("kind").and_then(Json::as_str),
-            ) else {
-                continue;
-            };
-            let labels = p.get("labels").and_then(Json::as_str).unwrap_or("");
-            let value = match kind {
-                "rate" => TopValue::Rate {
-                    delta: p.get("delta").and_then(Json::as_u64).unwrap_or(0),
-                    per_sec: p.get("per_sec").and_then(Json::as_f64).unwrap_or(0.0),
-                },
-                "gauge" => TopValue::Gauge(p.get("value").and_then(Json::as_i64).unwrap_or(0)),
-                "hist" => TopValue::Hist {
-                    bounds: p
-                        .get("bounds")
-                        .and_then(Json::as_arr)
-                        .map(|a| a.iter().filter_map(Json::as_f64).collect())
-                        .unwrap_or_default(),
-                    deltas: p
-                        .get("deltas")
-                        .and_then(Json::as_arr)
-                        .map(|a| a.iter().filter_map(Json::as_u64).collect())
-                        .unwrap_or_default(),
-                    sum: p.get("sum").and_then(Json::as_f64).unwrap_or(0.0),
-                },
-                _ => continue,
-            };
-            points.push(TopPoint {
-                name: name.to_string(),
-                labels: labels.to_string(),
-                value,
-            });
-        }
-        out.push(TopSample { points });
-    }
-    out
-}
-
-/// Re-accumulates the per-window histogram bucket deltas for `name`
-/// (labels must contain `label_sub` when given) across the whole ring
-/// window into one [`nqpv_telemetry::HistogramSnapshot`], ready for
-/// interpolated quantiles over recent jobs.
-fn hist_window(
-    samples: &[TopSample],
-    name: &str,
-    label_sub: Option<&str>,
-) -> Option<nqpv_telemetry::HistogramSnapshot> {
-    let mut bounds: Option<Vec<f64>> = None;
-    let mut acc: Vec<u64> = Vec::new();
-    let mut sum = 0.0;
-    for s in samples {
-        for p in &s.points {
-            if p.name != name || !label_sub.is_none_or(|sub| p.labels.contains(sub)) {
-                continue;
-            }
-            if let TopValue::Hist {
-                bounds: b,
-                deltas,
-                sum: ds,
-                ..
-            } = &p.value
-            {
-                match &bounds {
-                    None => {
-                        bounds = Some(b.clone());
-                        acc = deltas.clone();
-                    }
-                    Some(known) if known == b && acc.len() == deltas.len() => {
-                        for (a, d) in acc.iter_mut().zip(deltas) {
-                            *a += d;
-                        }
-                    }
-                    _ => continue, // bound layout changed mid-window; skip
-                }
-                sum += ds;
-            }
-        }
-    }
-    let bounds = bounds?;
-    let mut cumulative = Vec::with_capacity(acc.len());
-    let mut running = 0u64;
-    for d in &acc {
-        running += d;
-        cumulative.push(running);
-    }
-    Some(nqpv_telemetry::HistogramSnapshot {
-        bounds,
-        cumulative,
-        sum,
-        count: running,
-    })
-}
-
-/// Per-sample summed `per_sec` rates for `name` across matching labels —
-/// the sparkline series.
-fn rate_series(samples: &[TopSample], name: &str, label_sub: Option<&str>) -> Vec<f64> {
-    samples
-        .iter()
-        .map(|s| {
-            s.points
-                .iter()
-                .filter(|p| p.name == name && label_sub.is_none_or(|sub| p.labels.contains(sub)))
-                .map(|p| match &p.value {
-                    TopValue::Rate { per_sec, .. } => *per_sec,
-                    _ => 0.0,
-                })
-                .sum()
-        })
-        .collect()
-}
-
-/// Total counter delta for `name` over the whole ring window.
-fn rate_total(samples: &[TopSample], name: &str, label_sub: Option<&str>) -> u64 {
-    samples
-        .iter()
-        .flat_map(|s| &s.points)
-        .filter(|p| p.name == name && label_sub.is_none_or(|sub| p.labels.contains(sub)))
-        .map(|p| match &p.value {
-            TopValue::Rate { delta, .. } => *delta,
-            _ => 0,
-        })
-        .sum()
-}
-
-/// Extracts one label value from a rendered label block like
-/// `{status="verified",phase="wp"}`.
-fn label_value<'a>(labels: &'a str, key: &str) -> Option<&'a str> {
-    let start = labels.find(&format!("{key}=\""))? + key.len() + 2;
-    let rest = &labels[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Unicode sparkline over `vals`, scaled to the series max.
-fn sparkline(vals: &[f64]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let max = vals.iter().cloned().fold(0.0f64, f64::max);
-    vals.iter()
-        .map(|v| {
-            if max <= 0.0 {
-                BARS[0]
-            } else {
-                BARS[(((v / max) * 7.0).round() as usize).min(7)]
-            }
-        })
-        .collect()
-}
-
-/// Milliseconds with sensible precision for dashboard rows.
-fn fmt_ms(seconds: f64) -> String {
-    let ms = seconds * 1000.0;
-    if ms >= 100.0 {
-        format!("{ms:.0}ms")
-    } else if ms >= 10.0 {
-        format!("{ms:.1}ms")
-    } else {
-        format!("{ms:.2}ms")
-    }
-}
-
-/// Fetches `stats` + `series` and renders one dashboard frame.
-fn top_frame(client: &mut Client, addr: &str) -> std::io::Result<String> {
-    let stats = client.stats()?;
-    let Event::Stats { queue, cache } = stats else {
-        return Err(std::io::Error::other("unexpected stats reply"));
-    };
-    let (sample_secs, slo_ms, series_json) = client.series(0, None)?;
-    let samples = parse_series(&series_json);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "nqpv top — {addr}  (uptime {}s, ring: {} sample(s) × {:.0}s)\n",
-        queue.uptime_ms / 1000,
-        samples.len(),
-        sample_secs
-    ));
-    if samples.len() < 2 {
-        out.push_str("  (warming up: quantiles need at least two ring samples)\n");
-    }
-    // Queue block: live depths from stats, throughput from the ring.
-    let rates = rate_series(&samples, "nqpv_jobs_completed_total", None);
-    let jobs_per_sec = rates.last().copied().unwrap_or(0.0);
-    out.push_str(&format!(
-        "\njobs      {} queued / {} running / {} done   jobs/s {:.2}  {}\n",
-        queue.queued,
-        queue.running,
-        queue.done,
-        jobs_per_sec,
-        sparkline(&rates)
-    ));
-    if !queue.depths.is_empty() {
-        let depths: Vec<String> = queue
-            .depths
-            .iter()
-            .map(|(prio, n)| format!("p{prio}:{n}"))
-            .collect();
-        out.push_str(&format!("          depths {}\n", depths.join(" ")));
-    }
-    // Verdict mix over the ring window, by status label.
-    let mut mix: Vec<(String, u64)> = Vec::new();
-    for s in &samples {
-        for p in &s.points {
-            if p.name != "nqpv_jobs_completed_total" {
-                continue;
-            }
-            if let (TopValue::Rate { delta, .. }, Some(status)) =
-                (&p.value, label_value(&p.labels, "status"))
-            {
-                match mix.iter_mut().find(|(k, _)| k == status) {
-                    Some((_, n)) => *n += delta,
-                    None => mix.push((status.to_string(), *delta)),
-                }
-            }
-        }
-    }
-    if !mix.is_empty() {
-        mix.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let parts: Vec<String> = mix.iter().map(|(k, n)| format!("{k} {n}")).collect();
-        out.push_str(&format!("verdicts  {}\n", parts.join("  ")));
-    }
-    // Cache hit ratios from live daemon counters.
-    match &cache {
-        Some(c) => {
-            let ratio = |h: u64, m: u64| {
-                if h + m == 0 {
-                    "—".to_string()
-                } else {
-                    format!("{:.1}%", 100.0 * h as f64 / (h + m) as f64)
-                }
-            };
-            out.push_str(&format!(
-                "cache     transformer {} hit  verdict {}  disk {}\n",
-                ratio(c.hits, c.misses),
-                ratio(c.verdict_hits, c.verdict_misses),
-                ratio(c.disk_hits, c.disk_misses)
-            ));
-        }
-        None => out.push_str("cache     (disabled)\n"),
-    }
-    // Cost-model calibration: predicted/actual ratio p50 over the window.
-    if let Some(h) = hist_window(&samples, "nqpv_cost_prediction_ratio", None) {
-        if h.count > 0 {
-            out.push_str(&format!(
-                "cost      predicted/actual p50 {:.2}\n",
-                h.quantile(0.5)
-            ));
-        }
-    }
-    // Latency quantiles re-accumulated over the ring window.
-    out.push_str("\nlatency (ring window)       p50       p95       p99\n");
-    if let Some(h) = hist_window(&samples, "nqpv_job_duration_seconds", None) {
-        if h.count > 0 {
-            out.push_str(&format!(
-                "  job                  {:>8}  {:>8}  {:>8}\n",
-                fmt_ms(h.quantile(0.5)),
-                fmt_ms(h.quantile(0.95)),
-                fmt_ms(h.quantile(0.99))
-            ));
-        }
-    }
-    for phase in ["parse", "wp", "solver", "cache", "diagnose", "queue"] {
-        let sub = format!("phase=\"{phase}\"");
-        if let Some(h) = hist_window(&samples, "nqpv_phase_duration_seconds", Some(&sub)) {
-            if h.count > 0 {
-                out.push_str(&format!(
-                    "  phase {phase:<14} {:>8}  {:>8}  {:>8}\n",
-                    fmt_ms(h.quantile(0.5)),
-                    fmt_ms(h.quantile(0.95)),
-                    fmt_ms(h.quantile(0.99))
-                ));
-            }
-        }
-    }
-    // SLO error budget: 99% of jobs within --slo-ms, burn rate from the
-    // ring window (1.0x = consuming the budget exactly at its allowance).
-    if slo_ms > 0 {
-        let total = rate_total(&samples, "nqpv_slo_jobs_total", None);
-        let bad = rate_total(&samples, "nqpv_slo_jobs_total", Some("within=\"false\""));
-        if total > 0 {
-            let burn = (bad as f64 / total as f64) / 0.01;
-            let budget = (1.0 - bad as f64 / (0.01 * total as f64)).clamp(0.0, 1.0);
-            out.push_str(&format!(
-                "\nslo       99% of jobs < {slo_ms}ms — budget remaining {:.1}%  (burn {burn:.2}x, {bad}/{total} over)\n",
-                budget * 100.0
-            ));
-        } else {
-            out.push_str(&format!(
-                "\nslo       99% of jobs < {slo_ms}ms — no jobs in window yet\n"
-            ));
-        }
-    }
-    Ok(out)
 }
 
 fn cmd_ops() -> ExitCode {

@@ -43,7 +43,8 @@ pub struct BatchOptions {
     pub disk: Option<Arc<crate::DiskCache>>,
     /// Verdict-cache-aware scheduling: group jobs by affinity bin and run
     /// each bin on a single worker (on by default). `false` restores
-    /// plain submission-order work stealing.
+    /// plain submission-order work stealing, the reference the
+    /// placement-only test compares binning against.
     pub bin_jobs: bool,
     /// Diagnose rejected jobs: run the `nqpv-diagnose` counterexample
     /// extractor on every job with a rejected proof and attach the

@@ -274,7 +274,6 @@ impl Client {
                 | Event::Overloaded { .. }
                 | Event::Trace { .. }
                 | Event::FlightDump { .. }
-                | Event::Series { .. }
                 | Event::Profile { .. }
                 | Event::Error { .. }) => return Ok(e),
                 job_event => self.buffered.push_back(job_event),
@@ -394,33 +393,6 @@ impl Client {
     pub fn dump_flight(&mut self) -> io::Result<(Option<String>, String)> {
         match self.request(&Request::DumpFlight)? {
             Event::FlightDump { path, dump } => Ok((path, dump.to_string())),
-            Event::Error { message } => Err(io::Error::other(message)),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected reply {other:?}"),
-            )),
-        }
-    }
-
-    /// Fetches windows from the daemon's metrics time-series ring:
-    /// `(sample_secs, slo_ms, ring_json)`. `last` bounds the window
-    /// count (0 = the whole ring); `filter` keeps only series whose
-    /// family name contains it.
-    ///
-    /// # Errors
-    ///
-    /// Socket failures and unexpected replies.
-    pub fn series(&mut self, last: u64, filter: Option<&str>) -> io::Result<(f64, u64, String)> {
-        let req = Request::Series {
-            last,
-            filter: filter.map(str::to_string),
-        };
-        match self.request(&req)? {
-            Event::Series {
-                sample_secs,
-                slo_ms,
-                data,
-            } => Ok((sample_secs, slo_ms, data.to_string())),
             Event::Error { message } => Err(io::Error::other(message)),
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,

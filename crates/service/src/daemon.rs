@@ -26,6 +26,9 @@
 //!   reporting through [`PoolObserver`]; the shared [`MemoCache`] may be
 //!   layered over a persistent [`DiskCache`], so verdicts survive
 //!   restarts and are shared with `nqpv batch --cache-dir` runs.
+//! * With `--metrics-addr`, one HTTP thread serves `/metrics` and
+//!   `/healthz`. The daemon-owned gauges are refreshed on each scrape
+//!   rather than by a background sampler.
 
 use crate::json::Json;
 use crate::proto::{verdict_event, Event, QueueStats, Request};
@@ -35,9 +38,7 @@ use nqpv_engine::{
     faults, record_cache_metrics, run_pool, Corpus, DiskCache, Job, JobReport, JobStatus,
     MemoCache, PoolObserver,
 };
-use nqpv_telemetry::{
-    flight, log as tlog, profile, HttpResponse, MetricsServer, SeriesRing, TraceContext,
-};
+use nqpv_telemetry::{flight, log as tlog, profile, HttpResponse, MetricsServer, TraceContext};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -114,16 +115,6 @@ pub struct ServeOptions {
     pub log_level: tlog::Level,
     /// Emit stderr logs as JSON lines (`--log-json`) instead of text.
     pub log_json: bool,
-    /// Metrics sampling cadence in seconds (`--sample-secs N`): a
-    /// sampler thread snapshots the registry into the time-series ring
-    /// on this period — the history behind the `series` request, the
-    /// `/series` endpoint, and `nqpv top`'s windowed quantiles.
-    pub sample_secs: u64,
-    /// Per-job latency objective in milliseconds (`--slo-ms N`): each
-    /// verdict is counted into `nqpv_slo_jobs_total{within}`, and the
-    /// sampler derives a rolling error-budget burn rate (99% objective)
-    /// from the series ring. `None` disables SLO accounting.
-    pub slo_ms: Option<u64>,
     /// Finished-trace FIFO capacity (`--trace-store N`): how many
     /// traced jobs' daemon-side spans are retained for `trace` fetches;
     /// evictions past the bound count into
@@ -150,8 +141,6 @@ impl Default for ServeOptions {
             flight_dir: None,
             log_level: tlog::Level::Info,
             log_json: false,
-            sample_secs: 5,
-            slo_ms: None,
             trace_store: TRACE_STORE_CAP,
         }
     }
@@ -256,13 +245,6 @@ struct Shared {
     traces: Mutex<TraceStore>,
     /// Where flight dumps land (`--flight-dir`), shared with the pool.
     flight_dir: Option<PathBuf>,
-    /// The metrics time-series ring the sampler thread feeds
-    /// (`--sample-secs`), served by `series` requests and `/series`.
-    series: SeriesRing,
-    /// The sampling cadence, echoed to `series` clients.
-    sample_secs: u64,
-    /// The `--slo-ms` per-job latency objective, when configured.
-    slo_ms: Option<u64>,
     /// Set while a `shutdown --drain` works off the backlog: admissions
     /// are refused, everything else keeps serving.
     draining: AtomicBool,
@@ -421,16 +403,6 @@ impl PoolObserver for Shared {
     fn job_finished(&self, seq: usize, report: &JobReport) {
         self.running.fetch_sub(1, Ordering::Relaxed);
         self.done.fetch_add(1, Ordering::Relaxed);
-        if let Some(slo) = self.slo_ms {
-            let within = report.ms <= slo as f64;
-            nqpv_telemetry::global()
-                .counter(
-                    "nqpv_slo_jobs_total",
-                    "Jobs by whether they finished within the --slo-ms objective.",
-                    &[("within", if within { "true" } else { "false" })],
-                )
-                .inc();
-        }
         match &report.status {
             JobStatus::Timeout { .. } => {
                 self.timed_out.fetch_add(1, Ordering::Relaxed);
@@ -477,7 +449,6 @@ pub struct Daemon {
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
     pool: Option<JoinHandle<()>>,
-    sampler: Option<JoinHandle<()>>,
     metrics: Option<MetricsServer>,
 }
 
@@ -525,9 +496,6 @@ impl Daemon {
             pending_traces: Mutex::new(std::collections::HashMap::new()),
             traces: Mutex::new(TraceStore::new(opts.trace_store)),
             flight_dir: opts.flight_dir.clone(),
-            series: SeriesRing::new(nqpv_telemetry::series::DEFAULT_CAPACITY),
-            sample_secs: opts.sample_secs.max(1),
-            slo_ms: opts.slo_ms,
             draining: AtomicBool::new(false),
             drain_timeout: opts.drain_timeout,
             shutdown: AtomicBool::new(false),
@@ -536,24 +504,10 @@ impl Daemon {
             next_conn: AtomicU64::new(0),
         });
 
-        // SLO accounting: register both label variants up front so the
-        // series ring and scrapers see continuous (zero) series from
-        // the first sample, not series that pop into existence on the
-        // first slow job.
-        if opts.slo_ms.is_some() {
-            for within in ["true", "false"] {
-                nqpv_telemetry::global().counter(
-                    "nqpv_slo_jobs_total",
-                    "Jobs by whether they finished within the --slo-ms objective.",
-                    &[("within", within)],
-                );
-            }
-        }
-
         // Bind the scrape endpoint before spawning any thread: a bad
         // `--metrics-addr` fails the whole start instead of leaving a
-        // half-started daemon behind. `/healthz` and `/series` ride on
-        // the same listener.
+        // half-started daemon behind. `/healthz` rides on the same
+        // listener.
         let metrics = match &opts.metrics_addr {
             Some(addr) => {
                 let shared = Arc::clone(&shared);
@@ -566,42 +520,11 @@ impl Daemon {
                         } else {
                             HttpResponse::text(503, "not accepting submissions\n".to_string())
                         }),
-                        "/series" => Some(HttpResponse::json(200, shared.series.to_json(0, None))),
                         _ => None,
                     },
                 )?)
             }
             None => None,
-        };
-
-        // The sampler: ticks the series ring every `--sample-secs`,
-        // then refreshes the SLO burn-rate gauge from the ring. Runs
-        // regardless of `--metrics-addr` — the `series` protocol
-        // request serves the ring too.
-        let sampler = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("nqpv-sampler".into())
-                .spawn(move || {
-                    let tick = Duration::from_secs(shared.sample_secs);
-                    while !shared.shutdown.load(Ordering::SeqCst) {
-                        // Sleep in short slices so shutdown is prompt even
-                        // with a long cadence.
-                        let wake = Instant::now() + tick;
-                        while Instant::now() < wake {
-                            if shared.shutdown.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(25));
-                        }
-                        refresh_sampled_gauges(&shared);
-                        shared.series.sample(nqpv_telemetry::global());
-                        if shared.slo_ms.is_some() {
-                            refresh_slo_burn(&shared);
-                        }
-                    }
-                })
-                .expect("spawn sampler thread")
         };
 
         let workers = if opts.jobs == 0 {
@@ -644,7 +567,6 @@ impl Daemon {
             addr,
             accept: Some(accept),
             pool: Some(pool),
-            sampler: Some(sampler),
             metrics,
         })
     }
@@ -683,9 +605,6 @@ impl Daemon {
         if let Some(h) = self.pool.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.sampler.take() {
-            let _ = h.join();
-        }
         if let Some(m) = self.metrics.take() {
             m.shutdown();
         }
@@ -719,7 +638,7 @@ pub fn serve_blocking(opts: ServeOptions) -> std::io::Result<()> {
     let daemon = Daemon::start(opts)?;
     println!("nqpv-service listening on {}", daemon.local_addr());
     if let Some(addr) = daemon.metrics_addr() {
-        println!("nqpv-service metrics on http://{addr}/metrics (also /healthz, /series)");
+        println!("nqpv-service metrics on http://{addr}/metrics (also /healthz)");
     }
     daemon.wait();
     Ok(())
@@ -990,14 +909,6 @@ fn handle_request(req: Request, sub: &Arc<Subscriber>, shared: &Arc<Shared>) -> 
                 },
             }
         }
-        Request::Series { last, filter } => {
-            let json = shared.series.to_json(last as usize, filter.as_deref());
-            Event::Series {
-                sample_secs: shared.sample_secs as f64,
-                slo_ms: shared.slo_ms.unwrap_or(0),
-                data: Json::parse(&json).unwrap_or(Json::Null),
-            }
-        }
         Request::Profile => {
             let prof = profile::global();
             Event::Profile {
@@ -1153,9 +1064,8 @@ fn render_metrics(shared: &Shared) -> String {
 }
 
 /// Refreshes the daemon-owned gauges/mirrors in the process registry.
-/// Called on every `/metrics` scrape *and* on every sampler tick, so
-/// the series ring captures current queue depths even when nothing
-/// scrapes.
+/// Called on every `/metrics` scrape, so gauges read current values
+/// without a background thread.
 fn refresh_sampled_gauges(shared: &Shared) {
     let reg = nqpv_telemetry::global();
     let stats = shared.queue_stats();
@@ -1202,40 +1112,4 @@ fn refresh_sampled_gauges(shared: &Shared) {
     if let Some(cache) = &shared.cache {
         record_cache_metrics(&cache.stats());
     }
-}
-
-/// Recomputes the rolling SLO error-budget burn rate from the series
-/// ring: the fraction of jobs over `--slo-ms` across every ring window,
-/// divided by the 1% error allowance of a 99% objective, stored ×1000
-/// in `nqpv_slo_burn_rate_milli` (the registry's gauges are integers).
-/// 1000 therefore means "burning budget exactly as fast as a 99%
-/// objective allows"; 0 means no violations in the ring's horizon.
-fn refresh_slo_burn(shared: &Shared) {
-    let mut good = 0u64;
-    let mut bad = 0u64;
-    for window in shared.series.window(0, Some("nqpv_slo_jobs_total")) {
-        for point in &window.points {
-            if let nqpv_telemetry::series::SeriesValue::Rate { delta, .. } = point.value {
-                if point.labels.contains("within=\"false\"") {
-                    bad += delta;
-                } else {
-                    good += delta;
-                }
-            }
-        }
-    }
-    let total = good + bad;
-    let burn_milli = if total == 0 {
-        0
-    } else {
-        ((bad as f64 / total as f64) / 0.01 * 1000.0).round() as i64
-    };
-    nqpv_telemetry::global()
-        .gauge(
-            "nqpv_slo_burn_rate_milli",
-            "Rolling SLO error-budget burn rate over the series ring, x1000 \
-             (1000 = burning exactly at a 99% objective's allowance).",
-            &[],
-        )
-        .set(burn_milli);
 }

@@ -71,14 +71,6 @@ pub enum Request {
     /// [`Event::FlightDump`]; when the daemon runs with `--flight-dir`
     /// the dump is also written there.
     DumpFlight,
-    /// Fetch windows from the daemon's metrics time-series ring
-    /// (sampled every `--sample-secs`). Answered with [`Event::Series`].
-    Series {
-        /// Most-recent windows to return (0 = the whole ring).
-        last: u64,
-        /// Keep only series whose family name contains this substring.
-        filter: Option<String>,
-    },
     /// Fetch the daemon's aggregate self-time profile (collapsed-stack
     /// text over every job since startup). Answered with
     /// [`Event::Profile`].
@@ -153,13 +145,6 @@ impl Request {
             }
             Request::Trace { id } => obj(vec![("cmd", s("trace")), ("id", n(*id as f64))]),
             Request::DumpFlight => obj(vec![("cmd", s("dump_flight"))]),
-            Request::Series { last, filter } => {
-                let mut members = vec![("cmd", s("series")), ("last", n(*last as f64))];
-                if let Some(f) = filter {
-                    members.push(("filter", s(f.clone())));
-                }
-                obj(members)
-            }
             Request::Profile => obj(vec![("cmd", s("profile"))]),
             Request::Watch => obj(vec![("cmd", s("watch"))]),
             Request::Stats => obj(vec![("cmd", s("stats"))]),
@@ -224,14 +209,6 @@ impl Request {
                     .ok_or_else(|| "'trace' requires numeric field 'id'".to_string())?,
             }),
             "dump_flight" => Ok(Request::DumpFlight),
-            "series" => Ok(Request::Series {
-                last: v.get("last").and_then(Json::as_u64).unwrap_or(0),
-                filter: v
-                    .get("filter")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .filter(|f| !f.is_empty()),
-            }),
             "profile" => Ok(Request::Profile),
             "watch" => Ok(Request::Watch),
             "stats" => Ok(Request::Stats),
@@ -354,18 +331,6 @@ pub enum Event {
         /// The daemon's trace events (Chrome trace-event objects with
         /// absolute wall-clock `ts` microseconds).
         events: Json,
-    },
-    /// Reply to [`Request::Series`]: windows from the daemon's metrics
-    /// time-series ring.
-    Series {
-        /// The daemon's sampling cadence in seconds (`--sample-secs`).
-        sample_secs: f64,
-        /// The per-job latency objective in milliseconds (`--slo-ms`;
-        /// 0 when no SLO is configured).
-        slo_ms: u64,
-        /// The ring dump: `{"samples":[{seq, at_ms, window_secs,
-        /// points:[…]}, …]}` in the `/series` endpoint's shape.
-        data: Json,
     },
     /// Reply to [`Request::Profile`]: the daemon's aggregate self-time
     /// profile.
@@ -550,17 +515,6 @@ impl Event {
                 ("events", events.clone()),
             ])
             .to_string(),
-            Event::Series {
-                sample_secs,
-                slo_ms,
-                data,
-            } => obj(vec![
-                ("event", s("series")),
-                ("sample_secs", n(*sample_secs)),
-                ("slo_ms", n(*slo_ms as f64)),
-                ("data", data.clone()),
-            ])
-            .to_string(),
             Event::Profile { jobs, collapsed } => obj(vec![
                 ("event", s("profile")),
                 ("jobs", n(*jobs as f64)),
@@ -690,11 +644,6 @@ impl Event {
                     .unwrap_or_default()
                     .to_string(),
                 events: v.get("events").cloned().unwrap_or(Json::Arr(Vec::new())),
-            }),
-            "series" => Ok(Event::Series {
-                sample_secs: v.get("sample_secs").and_then(Json::as_f64).unwrap_or(0.0),
-                slo_ms: v.get("slo_ms").and_then(Json::as_u64).unwrap_or(0),
-                data: v.get("data").cloned().unwrap_or(Json::Null),
             }),
             "profile" => Ok(Event::Profile {
                 jobs: v.get("jobs").and_then(Json::as_u64).unwrap_or(0),
@@ -853,14 +802,6 @@ mod tests {
             },
             Request::Trace { id: 7 },
             Request::DumpFlight,
-            Request::Series {
-                last: 12,
-                filter: Some("nqpv_job".into()),
-            },
-            Request::Series {
-                last: 0,
-                filter: None,
-            },
             Request::Profile,
             Request::Watch,
             Request::Stats,
@@ -985,19 +926,6 @@ mod tests {
             Event::FlightDump {
                 path: None,
                 dump: Json::Null,
-            },
-            Event::Series {
-                sample_secs: 5.0,
-                slo_ms: 250,
-                data: obj(vec![(
-                    "samples",
-                    Json::Arr(vec![obj(vec![
-                        ("seq", n(3.0)),
-                        ("at_ms", n(1000.0)),
-                        ("window_secs", n(5.0)),
-                        ("points", Json::Arr(vec![])),
-                    ])]),
-                )]),
             },
             Event::Profile {
                 jobs: 9,

@@ -3,7 +3,7 @@
 //! Deliberately tiny: HTTP/1.0, `Connection: close`, GET only. The
 //! default [`MetricsServer::start`] serves the exposition on `/` and
 //! `/metrics`; [`MetricsServer::start_with_routes`] lets the daemon add
-//! side-doors (`/healthz`, `/series`) without growing a framework — a
+//! side-doors (such as `/healthz`) without growing a framework — a
 //! route is a closure from path to optional [`HttpResponse`], anything
 //! unrouted is 404. The accept loop runs on one background thread in
 //! non-blocking mode so shutdown is a flag-flip plus a join — no
@@ -34,15 +34,6 @@ impl HttpResponse {
         HttpResponse {
             status: 200,
             content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body,
-        }
-    }
-
-    /// A JSON response with the given status.
-    pub fn json(status: u16, body: String) -> HttpResponse {
-        HttpResponse {
-            status,
-            content_type: "application/json",
             body,
         }
     }
@@ -241,7 +232,7 @@ mod tests {
     fn routed_server_dispatches_by_path() {
         let server = MetricsServer::start_with_routes("127.0.0.1:0", |path| match path {
             "/healthz" => Some(HttpResponse::text(200, "ok\n".into())),
-            "/series" => Some(HttpResponse::json(200, "{\"samples\":[]}".into())),
+            "/version" => Some(HttpResponse::text(200, "1\n".into())),
             "/busy" => Some(HttpResponse::text(503, "draining\n".into())),
             _ => None,
         })
@@ -250,9 +241,10 @@ mod tests {
         let health = get(addr, "/healthz");
         assert!(health.starts_with("HTTP/1.0 200 OK\r\n"), "{health}");
         assert!(health.ends_with("ok\n"), "{health}");
-        let series = get(addr, "/series?last=5");
-        assert!(series.contains("application/json"), "{series}");
-        assert!(series.ends_with("{\"samples\":[]}"), "{series}");
+        // The query string is not part of the routed path.
+        let version = get(addr, "/version?verbose=1");
+        assert!(version.contains("text/plain"), "{version}");
+        assert!(version.ends_with("\n1\n"), "{version}");
         let busy = get(addr, "/busy");
         assert!(
             busy.starts_with("HTTP/1.0 503 Service Unavailable"),

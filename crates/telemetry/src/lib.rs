@@ -20,7 +20,8 @@
 //!   process-wide registry of counters, gauges and fixed-bucket latency
 //!   histograms, rendered in Prometheus text-exposition format 0.0.4
 //!   ([`Registry::render`]) and servable over a loopback HTTP listener
-//!   ([`MetricsServer`]).
+//!   ([`MetricsServer`]) that the daemon also routes `/healthz` through.
+//!   Scrapers pull current values; the crate keeps no history of them.
 //!
 //! A third, tiny piece rides alongside: [`Deadline`], a `Copy`
 //! cooperative wall-clock budget with the same constant-`Debug`
@@ -37,7 +38,6 @@ mod http;
 pub mod log;
 mod metrics;
 pub mod profile;
-pub mod series;
 mod trace;
 
 use std::fmt::Write as _;
@@ -48,7 +48,6 @@ pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Sample, SampleValue,
     COST_RATIO_BOUNDS, DEFAULT_LATENCY_BOUNDS,
 };
-pub use series::SeriesRing;
 pub use trace::{
     stitch_chrome_json, wall_clock_us, ArgValue, Phase, PhaseTotals, Span, TraceContext, TraceData,
     TraceEvent, Tracer, PHASE_COUNT,

@@ -386,9 +386,8 @@ impl Registry {
     }
 
     /// Structured point-in-time copy of every series, in the same
-    /// stable `(family, label set)` order the text exposition uses.
-    /// This is what the [`crate::series`] ring diffs between ticks —
-    /// scraping text and re-parsing it would be absurd in-process.
+    /// stable `(family, label set)` order the text exposition uses, for
+    /// in-process readers that would otherwise re-parse the text.
     pub fn snapshot(&self) -> Vec<Sample> {
         let families = self.families.lock().unwrap_or_else(|e| e.into_inner());
         let mut out = Vec::new();

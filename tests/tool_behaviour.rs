@@ -140,20 +140,23 @@ fn e4_malformed_inputs_fail_cleanly() {
     assert!(err2.to_string().contains("expected a unitary"), "{err2}");
 }
 
-/// Path to the built `nqpv` binary, building it via cargo if this test
-/// profile hasn't produced it yet.
+/// Path to the `nqpv` binary of this test profile. The first call runs
+/// `cargo build -p nqpv-cli` (a no-op when it is current): `cargo test`
+/// does not rebuild the plain binary, and a stale one would test old
+/// code.
 fn nqpv_bin() -> Option<PathBuf> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    let target = std::env::var("CARGO_TARGET_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| root.join("target"));
-    let bin = target.join(profile).join("nqpv");
-    if !bin.exists() {
+    static BIN: std::sync::OnceLock<Option<PathBuf>> = std::sync::OnceLock::new();
+    BIN.get_or_init(|| {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        let target = std::env::var("CARGO_TARGET_DIR")
+            .map(PathBuf::from)
+            .unwrap_or_else(|_| root.join("target"));
+        let bin = target.join(profile).join("nqpv");
         let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
         let mut cmd = std::process::Command::new(cargo);
         cmd.current_dir(root).args(["build", "-p", "nqpv-cli"]);
@@ -161,8 +164,9 @@ fn nqpv_bin() -> Option<PathBuf> {
             cmd.arg("--release");
         }
         let _ = cmd.status();
-    }
-    bin.exists().then_some(bin)
+        bin.exists().then_some(bin)
+    })
+    .clone()
 }
 
 fn run_nqpv(args: &[&str]) -> Option<std::process::Output> {
@@ -333,6 +337,20 @@ fn cli_usage_and_exit_codes() {
         let out = run_nqpv(&bad).expect("binary available");
         assert_eq!(out.status.code(), Some(2), "nqpv {bad:?} must exit 2");
     }
+    // Removed commands and flags are refused with the usage text.
+    for gone in [
+        vec!["top", "127.0.0.1:7071"],
+        vec!["serve", "--addr", "127.0.0.1:0", "--slo-ms", "5"],
+        vec!["serve", "--addr", "127.0.0.1:0", "--sample-secs", "1"],
+        vec!["batch", "--no-bin", "examples/corpus"],
+    ] {
+        let out = run_nqpv(&gone).expect("binary available");
+        assert_eq!(out.status.code(), Some(2), "nqpv {gone:?} must exit 2");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "nqpv {gone:?}: {out:?}"
+        );
+    }
 
     // verify: 0 on success, 1 on a rejected proof, 2 on a missing file.
     let ok = run_nqpv(&["verify", "examples/corpus/grover_step.nqpv"]).unwrap();
@@ -372,16 +390,7 @@ fn cli_batch_verifies_the_corpus_in_parallel() {
     assert!(json.contains("\"verdict_hit_rate\""), "{json}");
 
     // Cross-check every job verdict against the single-file CLI path.
-    for (file, status) in [
-        ("deutsch", "verified"),
-        ("err_corr", "verified"),
-        ("grover_step", "verified"),
-        ("grover_step_twin", "verified"),
-        ("rus", "verified"),
-        ("rejected", "rejected"),
-        ("rejected_ndet", "rejected"),
-        ("parse_error", "error"),
-    ] {
+    for (file, status) in CORPUS_STATUSES {
         let needle = format!("\"name\": \"{file}\", \"path\": ");
         let line = json
             .lines()
@@ -474,6 +483,13 @@ fn cli_batch_verdicts_are_identical_across_kernel_threads() {
     let four = batch_verdicts(&[&corpus[..], &["4"]].concat()).expect("binary available");
     assert_eq!(one.len(), 8, "{one:?}");
     assert_eq!(one, four);
+    // The flight recorder observes jobs without changing their verdicts.
+    let flight = temp_dir("determinism_flight");
+    let _ = std::fs::remove_dir_all(&flight);
+    let flight = flight.display().to_string();
+    let recorded = batch_verdicts(&[&corpus[..], &["4", "--flight-dir", flight.as_str()]].concat())
+        .expect("binary available");
+    assert_eq!(one, recorded);
 }
 
 #[test]
@@ -773,87 +789,218 @@ fn cli_batch_cache_dir_persists_verdicts_across_runs() {
     assert!(warm_json.contains("\"worker\": "), "{warm_json}");
 }
 
-#[test]
-fn cli_serve_and_client_roundtrip() {
-    // Drive the real daemon through the real binary: start `nqpv serve`
-    // on an ephemeral loopback port, submit the corpus via `nqpv client`,
-    // check the streamed verdicts match `nqpv batch`, and shut it down.
-    let Some(bin) = nqpv_bin() else { return };
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut serve = std::process::Command::new(&bin)
-        .current_dir(root)
-        .args(["serve", "--addr", "127.0.0.1:0", "--jobs", "2"])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("daemon spawns");
-    // The daemon announces its bound address on the first stdout line.
-    let addr = {
-        use std::io::{BufRead, BufReader};
-        let stdout = serve.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout).read_line(&mut line).expect("banner");
-        line.trim()
+/// A `nqpv serve` child process and the loopback address its
+/// `listening` banner announced.
+struct ServeProc {
+    bin: PathBuf,
+    child: std::process::Child,
+    addr: String,
+    /// The rest of the daemon's stdout, kept open so later banner lines
+    /// can still be written and read.
+    stdout: std::io::BufReader<std::process::ChildStdout>,
+}
+
+impl ServeProc {
+    /// Spawns `nqpv serve --addr 127.0.0.1:0 ARGS…` from the repository
+    /// root with `env` added and stderr sent to `stderr`, then waits for
+    /// its banner.
+    fn spawn(
+        bin: &Path,
+        env: &[(&str, &str)],
+        args: &[&str],
+        stderr: std::process::Stdio,
+    ) -> ServeProc {
+        let mut child = std::process::Command::new(bin)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .envs(env.iter().copied())
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(stderr)
+            .spawn()
+            .expect("daemon spawns");
+        let stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut daemon = ServeProc {
+            bin: bin.to_path_buf(),
+            child,
+            addr: String::new(),
+            stdout,
+        };
+        daemon.addr = daemon
+            .banner()
             .rsplit(' ')
             .next()
             .expect("listening banner ends with the address")
-            .to_string()
-    };
+            .to_string();
+        daemon
+    }
 
-    let client = |args: &[&str]| -> std::process::Output {
-        let mut all = vec!["client", addr.as_str()];
-        all.extend_from_slice(args);
-        std::process::Command::new(&bin)
-            .current_dir(root)
-            .args(&all)
+    /// The next stdout banner line.
+    fn banner(&mut self) -> String {
+        use std::io::BufRead;
+        let mut line = String::new();
+        self.stdout.read_line(&mut line).expect("banner");
+        line.trim().to_string()
+    }
+
+    /// Runs `nqpv client ADDR ARGS…` against this daemon.
+    fn client(&self, args: &[&str]) -> std::process::Output {
+        std::process::Command::new(&self.bin)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .args(["client", self.addr.as_str()])
+            .args(args)
             .output()
             .expect("client runs")
-    };
+    }
 
-    let ping = client(&["ping"]);
+    /// Sends `shutdown` and checks the daemon exits cleanly.
+    fn shutdown(mut self) {
+        let down = self.client(&["shutdown"]);
+        assert!(String::from_utf8_lossy(&down.stdout).contains("shutting_down"));
+        let status = self.child.wait().expect("daemon exits after shutdown");
+        assert!(status.success(), "daemon exit: {status:?}");
+    }
+}
+
+impl Drop for ServeProc {
+    /// A test that fails before `shutdown` must not leave its daemon
+    /// running (after a clean shutdown this is a no-op).
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// `name → status` of every job in a fault-free `nqpv batch --json` run
+/// over the example corpus.
+fn batch_statuses(bin: &Path) -> std::collections::BTreeMap<String, String> {
+    let batch = std::process::Command::new(bin)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args(["batch", "examples/corpus", "--json"])
+        .output()
+        .expect("batch runs");
+    assert_eq!(batch.status.code(), Some(1), "{batch:?}");
+    let report = Json::parse(&String::from_utf8_lossy(&batch.stdout)).expect("batch JSON parses");
+    report
+        .get("jobs")
+        .and_then(Json::as_arr)
+        .expect("jobs array")
+        .iter()
+        .map(|j| {
+            let field = |k: &str| j.get(k).and_then(Json::as_str).expect(k).to_string();
+            (field("name"), field("status"))
+        })
+        .collect()
+}
+
+/// The corpus verdicts every daemon and batch run must reproduce.
+const CORPUS_STATUSES: [(&str, &str); 8] = [
+    ("deutsch", "verified"),
+    ("err_corr", "verified"),
+    ("grover_step", "verified"),
+    ("grover_step_twin", "verified"),
+    ("rus", "verified"),
+    ("rejected", "rejected"),
+    ("rejected_ndet", "rejected"),
+    ("parse_error", "error"),
+];
+
+#[test]
+fn cli_serve_and_client_roundtrip() {
+    // Drive the real daemon through the real binary: start `nqpv serve`
+    // over a fresh --cache-dir, submit the corpus via `nqpv client`,
+    // check the streamed verdicts match `nqpv batch`, then cold-restart
+    // over the same directory and check the verdict queries are answered
+    // from the persistent store.
+    let Some(bin) = nqpv_bin() else { return };
+    let cache = temp_dir("serve_roundtrip_cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let cache_str = cache.display().to_string();
+    let serve_args = ["--jobs", "2", "--cache-dir", cache_str.as_str()];
+    let daemon = ServeProc::spawn(&bin, &[], &serve_args, std::process::Stdio::inherit());
+
+    let ping = daemon.client(&["ping"]);
     assert_eq!(ping.status.code(), Some(0), "{ping:?}");
     assert!(String::from_utf8_lossy(&ping.stdout).contains("pong"));
 
     // Corpus contains a rejected and an error job → exit 1, and the
     // streamed verdicts agree with `nqpv batch`.
-    let submit = client(&["submit", "--priority", "3", "examples/corpus"]);
+    let submit = daemon.client(&["submit", "--priority", "3", "examples/corpus"]);
     assert_eq!(submit.status.code(), Some(1), "{submit:?}");
     let stream = String::from_utf8_lossy(&submit.stdout);
-    for (file, status) in [
-        ("deutsch", "verified"),
-        ("err_corr", "verified"),
-        ("grover_step", "verified"),
-        ("grover_step_twin", "verified"),
-        ("rus", "verified"),
-        ("rejected", "rejected"),
-        ("rejected_ndet", "rejected"),
-        ("parse_error", "error"),
-    ] {
-        let needle = format!("\"name\":\"{file}\",\"status\":\"{status}\"");
-        assert!(
-            stream.contains(&needle),
+    let served = streamed_statuses(&stream);
+    assert_eq!(served, batch_statuses(&bin), "daemon and batch verdicts");
+    for (file, status) in CORPUS_STATUSES {
+        assert_eq!(
+            served.get(file).map(String::as_str),
+            Some(status),
             "{file} must stream status {status}: {stream}"
         );
     }
-    assert!(stream.contains("\"event\":\"running\""), "{stream}");
-
-    // Manifests submit as corpora (only verifying jobs listed → exit 0).
-    let manifest = client(&["submit", "examples/corpus/manifest.txt"]);
-    assert_eq!(manifest.status.code(), Some(0), "{manifest:?}");
-    let mstream = String::from_utf8_lossy(&manifest.stdout);
-    assert_eq!(
-        mstream.matches("\"event\":\"verdict\"").count(),
-        5,
-        "{mstream}"
+    assert!(
+        ndjson(&stream)
+            .iter()
+            .any(|e| e.get("event").and_then(Json::as_str) == Some("running")),
+        "{stream}"
     );
 
-    let stats = client(&["stats"]);
-    let stats_line = String::from_utf8_lossy(&stats.stdout).to_string();
-    assert!(stats_line.contains("\"done\":13"), "{stats_line}");
+    // Manifests submit as corpora (only verifying jobs listed → exit 0).
+    let manifest = daemon.client(&["submit", "examples/corpus/manifest.txt"]);
+    assert_eq!(manifest.status.code(), Some(0), "{manifest:?}");
+    let mstream = String::from_utf8_lossy(&manifest.stdout);
+    assert_eq!(streamed_statuses(&mstream).len(), 5, "{mstream}");
 
-    let down = client(&["shutdown"]);
-    assert!(String::from_utf8_lossy(&down.stdout).contains("shutting_down"));
-    let status = serve.wait().expect("daemon exits after shutdown");
-    assert!(status.success(), "daemon exit: {status:?}");
+    let stats = daemon.client(&["stats"]);
+    let stats_line = String::from_utf8_lossy(&stats.stdout).to_string();
+    assert_eq!(stat_field(&stats_line, "done"), Some(13), "{stats_line}");
+    assert!(
+        cache_stat(&stats_line, "disk_writes").unwrap_or(0) >= 1,
+        "the first daemon persists verdicts: {stats_line}"
+    );
+    // The daemon-wide self-time profile folds the jobs it has run.
+    let profile = daemon.client(&["profile"]);
+    assert_eq!(profile.status.code(), Some(0), "{profile:?}");
+    let reply = ndjson(&String::from_utf8_lossy(&profile.stdout));
+    assert_eq!(reply.len(), 1, "{reply:?}");
+    assert_eq!(
+        reply[0].get("event").and_then(Json::as_str),
+        Some("profile")
+    );
+    assert!(
+        reply[0].get("jobs").and_then(Json::as_u64).unwrap_or(0) >= 1,
+        "{}",
+        reply[0]
+    );
+    daemon.shutdown();
+
+    // Cold restart over the same cache directory: the corpus's verdict
+    // queries are answered from disk and nothing new is written.
+    let restarted = ServeProc::spawn(&bin, &[], &serve_args, std::process::Stdio::inherit());
+    let submit = restarted.client(&["submit", "examples/corpus"]);
+    assert_eq!(submit.status.code(), Some(1), "{submit:?}");
+    let stats = restarted.client(&["stats"]);
+    let stats_line = String::from_utf8_lossy(&stats.stdout).to_string();
+    assert!(
+        cache_stat(&stats_line, "disk_hits").unwrap_or(0) >= 1,
+        "the restarted daemon hits the disk store: {stats_line}"
+    );
+    assert_eq!(
+        cache_stat(&stats_line, "disk_writes"),
+        Some(0),
+        "{stats_line}"
+    );
+    restarted.shutdown();
+}
+
+/// The integer counter `key` of the `cache` object in the first `stats`
+/// reply of an NDJSON stream.
+fn cache_stat(stream: &str, key: &str) -> Option<u64> {
+    ndjson(stream)
+        .into_iter()
+        .find(|e| e.get("event").and_then(Json::as_str) == Some("stats"))?
+        .get("cache")?
+        .get(key)?
+        .as_u64()
 }
 
 /// The integer field `key` of the first `stats` reply in an NDJSON stream.
@@ -896,85 +1043,30 @@ fn cli_serve_survives_injected_faults_with_verdicts_intact() {
     // in the serve process; batch and client subprocesses inherit a clean
     // environment.
     let Some(bin) = nqpv_bin() else { return };
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     // The fault-free reference: `nqpv batch` over the same corpus.
-    let batch = std::process::Command::new(&bin)
-        .current_dir(root)
-        .args(["batch", "examples/corpus", "--json"])
-        .output()
-        .expect("batch runs");
-    assert_eq!(batch.status.code(), Some(1), "{batch:?}");
-    let report = Json::parse(&String::from_utf8_lossy(&batch.stdout)).expect("batch JSON parses");
-    let fault_free: std::collections::BTreeMap<String, String> = report
-        .get("jobs")
-        .and_then(Json::as_arr)
-        .expect("jobs array")
-        .iter()
-        .map(|j| {
-            let field = |k: &str| j.get(k).and_then(Json::as_str).expect(k).to_string();
-            (field("name"), field("status"))
-        })
-        .collect();
+    let fault_free = batch_statuses(&bin);
     let cache = temp_dir("chaos_cache");
     let _ = std::fs::remove_dir_all(&cache);
     let cache_str = cache.display().to_string();
-    let mut serve = std::process::Command::new(&bin)
-        .current_dir(root)
-        .env(
+    let daemon = ServeProc::spawn(
+        &bin,
+        &[(
             "NQPV_FAULTS",
             "42:worker_panic*1,disk_read*2,disk_write*1,conn_drop*1,solver_delay*2",
-        )
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--jobs",
-            "2",
-            "--cache-dir",
-            cache_str.as_str(),
-        ])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("daemon spawns");
-    let addr = {
-        use std::io::{BufRead, BufReader};
-        let stdout = serve.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout).read_line(&mut line).expect("banner");
-        line.trim()
-            .rsplit(' ')
-            .next()
-            .expect("listening banner ends with the address")
-            .to_string()
-    };
-    let client = |args: &[&str]| -> std::process::Output {
-        let mut all = vec!["client", addr.as_str()];
-        all.extend_from_slice(args);
-        std::process::Command::new(&bin)
-            .current_dir(root)
-            .args(&all)
-            .output()
-            .expect("client runs")
-    };
+        )],
+        &["--jobs", "2", "--cache-dir", cache_str.as_str()],
+        std::process::Stdio::inherit(),
+    );
 
     // The first submit-shaped request trips conn_drop: the daemon hangs
     // up before queueing anything, and the client's retry/backoff layer
     // must reconnect and resubmit transparently.
-    let submit = client(&["submit", "examples/corpus"]);
+    let submit = daemon.client(&["submit", "examples/corpus"]);
     assert_eq!(submit.status.code(), Some(1), "{submit:?}");
     let stream = String::from_utf8_lossy(&submit.stdout);
     let served = streamed_statuses(&stream);
     assert_eq!(served, fault_free, "verdicts under injected faults");
-    for (file, status) in [
-        ("deutsch", "verified"),
-        ("err_corr", "verified"),
-        ("grover_step", "verified"),
-        ("grover_step_twin", "verified"),
-        ("rus", "verified"),
-        ("rejected", "rejected"),
-        ("rejected_ndet", "rejected"),
-        ("parse_error", "error"),
-    ] {
+    for (file, status) in CORPUS_STATUSES {
         assert_eq!(
             served.get(file).map(String::as_str),
             Some(status),
@@ -986,18 +1078,211 @@ fn cli_serve_survives_injected_faults_with_verdicts_intact() {
     // corpus run, so the daemon reports exactly 1+2+1+1+2 injections.
     // (`panicked` stays 0: the injected panic is retried once and the
     // retry verifies, so no job *ends* in a panic verdict.)
-    let stats = client(&["stats"]);
+    let stats = daemon.client(&["stats"]);
     let stats_line = String::from_utf8_lossy(&stats.stdout).to_string();
     assert_eq!(
         stat_field(&stats_line, "faults_injected"),
         Some(7),
         "all capped faults must have fired: {stats_line}"
     );
+    daemon.shutdown();
+}
 
-    let down = client(&["shutdown"]);
-    assert!(String::from_utf8_lossy(&down.stdout).contains("shutting_down"));
-    let status = serve.wait().expect("daemon exits after shutdown");
-    assert!(status.success(), "daemon exit: {status:?}");
+/// One HTTP/1.0 GET against a loopback listener; returns the body.
+fn http_get_body(addr: &str, path: &str) -> String {
+    use std::io::{Read as _, Write as _};
+    let mut stream = std::net::TcpStream::connect(addr).expect("listener accepts");
+    write!(stream, "GET {path} HTTP/1.0\r\nHost: x\r\n\r\n").unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
+    response
+        .split_once("\r\n\r\n")
+        .expect("header terminator")
+        .1
+        .to_string()
+}
+
+/// Every file in `dir` whose name starts with `prefix` and ends with
+/// `suffix`, parsed as JSON, in name order.
+fn json_files(dir: &Path, prefix: &str, suffix: &str) -> Vec<Json> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+            name.starts_with(prefix) && name.ends_with(suffix)
+        })
+        .collect();
+    paths.sort();
+    paths
+        .iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(p).expect("readable");
+            Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", p.display()))
+        })
+        .collect()
+}
+
+#[test]
+fn cli_serve_observability_ties_logs_traces_flight_dumps_and_metrics() {
+    // A daemon with JSON logs, a flight recorder and a metrics endpoint
+    // works the corpus under one injected worker panic. A traced client
+    // submission must yield one stitched Chrome trace per job, and the
+    // wire trace id must tie together the verdict stream, the panic
+    // flight dump and the fetched traces.
+    let Some(bin) = nqpv_bin() else { return };
+    let dir = temp_dir("observability");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (flight, traces, log) = (
+        dir.join("flight"),
+        dir.join("traces"),
+        dir.join("serve.log"),
+    );
+    let flight_str = flight.display().to_string();
+    let traces_str = traces.display().to_string();
+    let mut daemon = ServeProc::spawn(
+        &bin,
+        &[("NQPV_FAULTS", "42:worker_panic*1")],
+        &[
+            "--jobs",
+            "2",
+            "--metrics-addr",
+            "127.0.0.1:0",
+            "--flight-dir",
+            flight_str.as_str(),
+            "--log-level",
+            "debug",
+            "--log-json",
+        ],
+        std::fs::File::create(&log).expect("log file").into(),
+    );
+    let metrics_banner = daemon.banner();
+    let metrics_addr = metrics_banner
+        .split_once("http://")
+        .and_then(|(_, rest)| rest.split_once('/'))
+        .expect("metrics banner names the address")
+        .0
+        .to_string();
+
+    let submit = daemon.client(&[
+        "submit",
+        "--trace-out",
+        traces_str.as_str(),
+        "examples/corpus",
+    ]);
+    assert_eq!(submit.status.code(), Some(1), "{submit:?}");
+    let stream = String::from_utf8_lossy(&submit.stdout);
+
+    let metrics = http_get_body(&metrics_addr, "/metrics");
+    let metric = |series: &str| -> Option<f64> {
+        metrics.lines().find_map(|l| {
+            let (name, value) = l.rsplit_once(' ')?;
+            (name == series).then(|| value.parse().expect("numeric sample"))
+        })
+    };
+    assert!(
+        metric("nqpv_cost_prediction_ratio_count").is_some_and(|v| v >= 1.0),
+        "{metrics}"
+    );
+    assert!(metric("nqpv_flight_dropped_total").is_some(), "{metrics}");
+    assert_eq!(
+        metric("nqpv_faults_injected_total{site=\"worker_panic\"}"),
+        Some(1.0),
+        "{metrics}"
+    );
+    daemon.shutdown();
+
+    // Every daemon stderr line is one JSON object with the core fields.
+    let logs = ndjson(&std::fs::read_to_string(&log).expect("log written"));
+    assert!(!logs.is_empty(), "daemon must log");
+    for e in &logs {
+        for key in ["ts_us", "level", "target", "msg"] {
+            assert!(e.get(key).is_some(), "log line lacks {key}: {e}");
+        }
+    }
+    let msgs: Vec<&str> = logs
+        .iter()
+        .filter_map(|e| e.get("msg").and_then(Json::as_str))
+        .collect();
+    assert!(msgs.contains(&"job admitted"), "admissions are logged");
+    assert!(
+        msgs.iter().any(|m| m.contains("panic")),
+        "the injected panic is logged"
+    );
+
+    // One stitched trace per corpus job, all under one wire trace id,
+    // with client (pid 1) and daemon (pid 2) halves.
+    let stitched = json_files(&traces, "", ".trace.json");
+    assert_eq!(stitched.len(), 8, "one trace per corpus job");
+    let mut ids = std::collections::BTreeSet::new();
+    for trace in &stitched {
+        ids.insert(
+            trace
+                .get("traceId")
+                .and_then(Json::as_str)
+                .expect("traceId")
+                .to_string(),
+        );
+        let pids: std::collections::BTreeSet<Option<u64>> = trace
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("traceEvents")
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .map(|e| e.get("pid").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(pids, [Some(1), Some(2)].into(), "{trace}");
+    }
+    assert_eq!(ids.len(), 1, "{ids:?}");
+    let hex = ids.pop_first().expect("one id");
+
+    // Every streamed verdict names that id and a nonzero predicted cost.
+    let verdicts: Vec<Json> = ndjson(&stream)
+        .into_iter()
+        .filter(|e| e.get("event").and_then(Json::as_str) == Some("verdict"))
+        .collect();
+    assert_eq!(verdicts.len(), 8, "{stream}");
+    for v in &verdicts {
+        assert_eq!(
+            v.get("trace").and_then(Json::as_str),
+            Some(hex.as_str()),
+            "{v}"
+        );
+        assert!(
+            v.get("predicted_cost")
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0)
+                > 0.0,
+            "{v}"
+        );
+    }
+
+    // The panic flight dump cross-references the same trace id, and
+    // every dump carries events.
+    let dumps = json_files(&flight, "flight-", ".json");
+    assert!(!dumps.is_empty(), "failures must leave flight dumps");
+    let panic_dumps: Vec<&Json> = dumps
+        .iter()
+        .filter(|d| d.get("reason").and_then(Json::as_str) == Some("panic"))
+        .collect();
+    assert!(!panic_dumps.is_empty(), "the injected panic is dumped");
+    for d in panic_dumps {
+        assert_eq!(
+            d.get("trace_id").and_then(Json::as_str),
+            Some(hex.as_str()),
+            "{d}"
+        );
+    }
+    for d in &dumps {
+        assert!(
+            d.get("events")
+                .and_then(Json::as_arr)
+                .is_some_and(|e| !e.is_empty()),
+            "{d}"
+        );
+    }
 }
 
 #[test]
@@ -1006,7 +1291,6 @@ fn cli_serve_job_timeout_flags_runaway_jobs_and_daemon_survives() {
     // deadline) must come back as a TIMEOUT verdict well within 4x the
     // deadline, and the daemon must keep serving afterwards.
     let Some(bin) = nqpv_bin() else { return };
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let dir = temp_dir("timeout_heavy");
     let body = "[a] *= H; [b] *= H; ".repeat(20000);
     let heavy = dir.join("heavy.nqpv");
@@ -1015,44 +1299,16 @@ fn cli_serve_job_timeout_flags_runaway_jobs_and_daemon_survives() {
         format!("def pf := proof [a b c d e f] : {{ I[a] }}; {body}{{ I[a] }} end"),
     )
     .expect("heavy program written");
-    let mut serve = std::process::Command::new(&bin)
-        .current_dir(root)
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--jobs",
-            "1",
-            "--job-timeout",
-            "1",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("daemon spawns");
-    let addr = {
-        use std::io::{BufRead, BufReader};
-        let stdout = serve.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout).read_line(&mut line).expect("banner");
-        line.trim()
-            .rsplit(' ')
-            .next()
-            .expect("listening banner ends with the address")
-            .to_string()
-    };
-    let client = |args: &[&str]| -> std::process::Output {
-        let mut all = vec!["client", addr.as_str()];
-        all.extend_from_slice(args);
-        std::process::Command::new(&bin)
-            .current_dir(root)
-            .args(&all)
-            .output()
-            .expect("client runs")
-    };
+    let daemon = ServeProc::spawn(
+        &bin,
+        &[],
+        &["--jobs", "1", "--job-timeout", "1"],
+        std::process::Stdio::inherit(),
+    );
 
     let heavy_path = heavy.display().to_string();
     let started = std::time::Instant::now();
-    let submit = client(&["submit", heavy_path.as_str()]);
+    let submit = daemon.client(&["submit", heavy_path.as_str()]);
     let elapsed = started.elapsed();
     assert_eq!(submit.status.code(), Some(1), "{submit:?}");
     let stream = String::from_utf8_lossy(&submit.stdout);
@@ -1079,7 +1335,7 @@ fn cli_serve_job_timeout_flags_runaway_jobs_and_daemon_survives() {
     );
 
     // The worker survived the cancelled job: a quick file still verifies.
-    let quick = client(&["submit", "examples/corpus/deutsch.nqpv"]);
+    let quick = daemon.client(&["submit", "examples/corpus/deutsch.nqpv"]);
     assert_eq!(quick.status.code(), Some(0), "{quick:?}");
     let quick_stream = String::from_utf8_lossy(&quick.stdout);
     assert_eq!(
@@ -1090,17 +1346,13 @@ fn cli_serve_job_timeout_flags_runaway_jobs_and_daemon_survives() {
         "{quick_stream}"
     );
 
-    let stats = client(&["stats"]);
+    let stats = daemon.client(&["stats"]);
     let stats_line = String::from_utf8_lossy(&stats.stdout).to_string();
     assert!(
         stat_field(&stats_line, "timed_out").unwrap_or(0) >= 1,
         "{stats_line}"
     );
-
-    let down = client(&["shutdown"]);
-    assert!(String::from_utf8_lossy(&down.stdout).contains("shutting_down"));
-    let status = serve.wait().expect("daemon exits after shutdown");
-    assert!(status.success(), "daemon exit: {status:?}");
+    daemon.shutdown();
 }
 
 #[test]
@@ -1188,6 +1440,7 @@ fn cli_profile_out_writes_collapsed_stacks() {
             "batch",
             "--jobs",
             "2",
+            "--json",
             "--profile-out",
             batch_profile.to_str().unwrap(),
             "examples/corpus",
@@ -1198,14 +1451,12 @@ fn cli_profile_out_writes_collapsed_stacks() {
     // written regardless of verdicts.
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let folded = std::fs::read_to_string(&batch_profile).expect("profile written");
-    let mut stacks = std::collections::HashSet::new();
+    let mut stacks = std::collections::HashMap::<String, u64>::new();
     for line in folded.lines() {
         let (stack, count) = line.rsplit_once(' ').expect("'stack count' shape");
-        assert!(
-            count.parse::<u64>().expect("count is integer") > 0,
-            "{line}"
-        );
-        stacks.insert(stack.to_string());
+        let count = count.parse::<u64>().expect("count is integer");
+        assert!(count > 0, "{line}");
+        *stacks.entry(stack.to_string()).or_default() += count;
     }
     assert!(
         stacks.len() >= 3,
@@ -1214,6 +1465,39 @@ fn cli_profile_out_writes_collapsed_stacks() {
     assert!(
         folded.lines().any(|l| l.contains(';')),
         "nested frames appear (semicolon-joined):\n{folded}"
+    );
+    // Self-time partitions span durations, so the phase totals the
+    // report prints bound the profile's total.
+    let report = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("batch JSON parses");
+    let Some(Json::Obj(phases)) = report.get("phases") else {
+        panic!("phase totals object: {report}");
+    };
+    let phase_us = |p: &(String, Json)| p.1.get("ms").and_then(Json::as_f64).expect("ms") * 1e3;
+    let phase_total: f64 = phases.iter().map(phase_us).sum();
+    let total_self = stacks.values().sum::<u64>() as f64;
+    assert!(
+        total_self > 0.0 && total_self <= phase_total * 1.05 + 500.0,
+        "self time {total_self} us vs phase totals {phase_total} us"
+    );
+    // Solver obligation spans are leaves, so their self-time reconciles
+    // with the solver phase total within 10% (plus rounding slack).
+    let solver_us = phases
+        .iter()
+        .find(|p| p.0 == "solver")
+        .map_or(0.0, phase_us);
+    let solver_self = stacks
+        .iter()
+        .filter(|(stack, _)| {
+            stack
+                .rsplit(';')
+                .next()
+                .is_some_and(|f| f.starts_with("solver:"))
+        })
+        .map(|(_, &c)| c)
+        .sum::<u64>() as f64;
+    assert!(
+        (solver_self - solver_us).abs() <= (0.1 * solver_us).max(100.0),
+        "solver self time {solver_self} us vs solver phase {solver_us} us"
     );
 
     // `explain --profile-out` does the same for a single diagnosed file.
@@ -1232,84 +1516,4 @@ fn cli_profile_out_writes_collapsed_stacks() {
     let folded = std::fs::read_to_string(&explain_profile).expect("profile written");
     assert!(!folded.trim().is_empty(), "explain profile non-empty");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cli_top_once_renders_live_dashboard() {
-    // End to end over the real binary: a daemon sampling its metrics
-    // ring every second with an SLO armed, fed the corpus, then one
-    // `nqpv top --once` frame asserting the acceptance surface: queue
-    // state, jobs/s, cache hit ratio, and ring-derived latency
-    // quantiles.
-    let Some(bin) = nqpv_bin() else { return };
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut serve = std::process::Command::new(&bin)
-        .current_dir(root)
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--jobs",
-            "2",
-            "--sample-secs",
-            "1",
-            "--slo-ms",
-            "30000",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("daemon spawns");
-    let addr = {
-        use std::io::{BufRead, BufReader};
-        let stdout = serve.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout).read_line(&mut line).expect("banner");
-        line.trim().rsplit(' ').next().expect("address").to_string()
-    };
-    let submit = std::process::Command::new(&bin)
-        .current_dir(root)
-        .args(["client", &addr, "submit", "examples/corpus"])
-        .output()
-        .expect("submit runs");
-    assert_eq!(submit.status.code(), Some(1), "{submit:?}");
-    // Let the 1s sampler take at least two ring samples over the
-    // finished jobs.
-    std::thread::sleep(std::time::Duration::from_millis(2300));
-
-    let top = std::process::Command::new(&bin)
-        .current_dir(root)
-        .args(["top", &addr, "--once"])
-        .output()
-        .expect("top runs");
-    assert_eq!(top.status.code(), Some(0), "{top:?}");
-    let frame = String::from_utf8_lossy(&top.stdout);
-    for needle in [
-        "queued",
-        "running",
-        "done",
-        "jobs/s",
-        "verdicts",
-        "cache",
-        "p50",
-        "p95",
-        "p99",
-        "  job ",
-        "slo",
-        "budget remaining",
-    ] {
-        assert!(frame.contains(needle), "missing {needle:?} in:\n{frame}");
-    }
-    assert!(
-        !frame.contains("warming up"),
-        "two 1s samples elapsed, quantiles must be live:\n{frame}"
-    );
-
-    let down = std::process::Command::new(&bin)
-        .current_dir(root)
-        .args(["client", &addr, "shutdown"])
-        .output()
-        .expect("shutdown runs");
-    assert!(String::from_utf8_lossy(&down.stdout).contains("shutting_down"));
-    let status = serve.wait().expect("daemon exits");
-    assert!(status.success(), "{status:?}");
 }
