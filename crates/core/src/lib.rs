@@ -43,7 +43,7 @@ pub use outline::{
     render_assertion, render_matrix, render_outline, render_proof, PredicateRegistry,
 };
 pub use ranking::{check_ranking, RankingCertificate};
-pub use session::{Session, SessionError};
+pub use session::{ProofRecord, Session, SessionError};
 pub use transformer::{
     backward, backward_with_cache, precondition, Annotated, AnnotatedNode, Mode, VcOptions,
 };

@@ -60,14 +60,30 @@ impl SessionError {
     }
 }
 
+/// One proof a [`Session`] verified, with everything it was verified
+/// against: diagnosis explains a rejected proof from its record without
+/// verifying it again.
+#[derive(Debug, Clone)]
+pub struct ProofRecord {
+    /// The proof's `def` name.
+    pub name: String,
+    /// The proof term.
+    pub term: ProofTerm,
+    /// The verification outcome: verdict, violation and annotated tree.
+    pub outcome: VerifyOutcome,
+    /// The operator library as it stood when the proof ran. A later
+    /// `load` that rebinds a name leaves it alone and changes a copy.
+    pub lib: Arc<OperatorLibrary>,
+}
+
 /// An interactive-style NQPV session.
 ///
 /// Proof outlines are rendered only when something shows them. Verified
 /// proofs wait, unnamed, in execution order; the first `show` after them
-/// names their predicates and renders their outlines in that order, as
-/// does any change to the library that could rebind a name they use. So
-/// `VARk` numbering is the same as if every proof had been named as it
-/// ran, and a session that shows nothing (a batch job) names nothing.
+/// names their predicates and renders their outlines in that order, each
+/// against the library it was verified with. So `VARk` numbering is the
+/// same as if every proof had been named as it ran, and a session that
+/// shows nothing (a batch job) names nothing.
 ///
 /// # Examples
 ///
@@ -81,14 +97,17 @@ impl SessionError {
 /// # Ok::<(), nqpv_core::SessionError>(())
 /// ```
 pub struct Session {
-    lib: OperatorLibrary,
+    /// Shared with the records of the proofs verified against it; a
+    /// change while shared copies it (`Arc::make_mut`).
+    lib: Arc<OperatorLibrary>,
     registry: PredicateRegistry,
-    outcomes: HashMap<String, Arc<VerifyOutcome>>,
     /// Rendered outlines of named proofs, by proof name.
     outlines: HashMap<String, String>,
-    /// Verified proofs not yet named, in execution order (shadowed
-    /// duplicates included: their names still count).
-    unnamed: Vec<(String, ProofTerm, Arc<VerifyOutcome>)>,
+    /// Every verified proof, in execution order (shadowed duplicates
+    /// included: their names still count).
+    records: Vec<ProofRecord>,
+    /// `records[named..]` are not named yet.
+    named: usize,
     rankings: HashMap<String, HashMap<usize, RankingCertificate>>,
     opts: VcOptions,
     base_dir: PathBuf,
@@ -102,9 +121,9 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("lib", &self.lib)
             .field("registry", &self.registry)
-            .field("outcomes", &self.outcomes)
             .field("outlines", &self.outlines)
-            .field("unnamed", &self.unnamed)
+            .field("records", &self.records)
+            .field("named", &self.named)
             .field("rankings", &self.rankings)
             .field("opts", &self.opts)
             .field("base_dir", &self.base_dir)
@@ -126,11 +145,11 @@ impl Session {
     /// options.
     pub fn new() -> Self {
         Session {
-            lib: OperatorLibrary::with_builtins(),
+            lib: Arc::new(OperatorLibrary::with_builtins()),
             registry: PredicateRegistry::new(),
-            outcomes: HashMap::new(),
             outlines: HashMap::new(),
-            unnamed: Vec::new(),
+            records: Vec::new(),
+            named: 0,
             rankings: HashMap::new(),
             opts: VcOptions::default(),
             base_dir: PathBuf::from("."),
@@ -160,12 +179,16 @@ impl Session {
         self
     }
 
+    /// The verification options.
+    pub fn options(&self) -> VcOptions {
+        self.opts
+    }
+
     /// Mutable access to the operator library (to pre-register operators
-    /// programmatically, as tests and examples do). Names the pending
-    /// proofs first, against the library they were verified with.
+    /// programmatically, as tests and examples do). The proofs already
+    /// verified keep the library they were verified with.
     pub fn library_mut(&mut self) -> &mut OperatorLibrary {
-        self.name_pending();
-        &mut self.lib
+        Arc::make_mut(&mut self.lib)
     }
 
     /// Supplies ranking certificates for the loops of a named proof
@@ -202,12 +225,9 @@ impl Session {
                     let full = self.base_dir.join(path);
                     let m = nqpv_linalg::read_matrix(&full)
                         .map_err(|e| SessionError::Npy(path.clone(), e))?;
-                    if self.lib.get(name).is_some() {
-                        // A rebinding: pending proofs must be named
-                        // against the operator they were verified with.
-                        self.name_pending();
-                    }
-                    self.lib
+                    // Copies the library only if a verified proof still
+                    // holds it.
+                    Arc::make_mut(&mut self.lib)
                         .insert_auto(name, m)
                         .map_err(SessionError::Library)?;
                 }
@@ -238,10 +258,12 @@ impl Session {
                     })?;
                     self.proof_log
                         .push((name.clone(), outcome.status.verified()));
-                    let outcome = Arc::new(outcome);
-                    self.unnamed
-                        .push((name.clone(), term.clone(), outcome.clone()));
-                    self.outcomes.insert(name.clone(), outcome);
+                    self.records.push(ProofRecord {
+                        name: name.clone(),
+                        term: term.clone(),
+                        outcome,
+                        lib: self.lib.clone(),
+                    });
                 }
                 Command::Show(name) => {
                     let text = self.show(name)?;
@@ -282,15 +304,25 @@ impl Session {
     /// With duplicate `def` names, later proofs shadow earlier ones;
     /// [`Session::proof_verdicts`] keeps every run in order.
     pub fn outcome(&self, name: &str) -> Option<&VerifyOutcome> {
-        self.outcomes.get(name).map(|o| &**o)
+        self.records
+            .iter()
+            .rev()
+            .find(|r| r.name == name)
+            .map(|r| &r.outcome)
     }
 
     /// Every proof this session has verified, in execution order, with
     /// its verdict — the per-proof record batch drivers and the CLI
     /// report from (robust to duplicate proof names, unlike the
-    /// name-keyed [`Session::outcome`] map).
+    /// name-keyed [`Session::outcome`]).
     pub fn proof_verdicts(&self) -> &[(String, bool)] {
         &self.proof_log
+    }
+
+    /// Every proof this session has verified, in execution order, with
+    /// what it was verified against.
+    pub fn proof_records(&self) -> &[ProofRecord] {
+        &self.records
     }
 
     /// Output accumulated by `show` commands, in order.
@@ -301,22 +333,19 @@ impl Session {
     /// Names the predicates of every pending proof in execution order,
     /// keeping the outline of each proof its name still refers to.
     fn name_pending(&mut self) {
-        for (name, term, outcome) in std::mem::take(&mut self.unnamed) {
+        for (i, record) in self.records.iter().enumerate().skip(self.named) {
             let text = render_proof(
-                &term,
-                &self.lib,
-                &outcome,
+                &record.term,
+                &record.lib,
+                &record.outcome,
                 &mut self.registry,
                 self.opts.tracer,
             );
-            if self
-                .outcomes
-                .get(&name)
-                .is_some_and(|o| Arc::ptr_eq(o, &outcome))
-            {
-                self.outlines.insert(name, text);
+            if !self.records[i + 1..].iter().any(|r| r.name == record.name) {
+                self.outlines.insert(record.name.clone(), text);
             }
         }
+        self.named = self.records.len();
     }
 }
 

@@ -16,7 +16,8 @@
 //!    largest operator-level gap wins.
 //! 2. **Scheduler trace** — the demonic resolution of every `□`: which
 //!    branch the adversary picks, per dynamically encountered choice
-//!    (see [`demonic_schedule`]).
+//!    (see [`demonic_schedule`]: one branching forward run that shares
+//!    the schedules' prefixes, capped at 2048 schedules).
 //! 3. **Replay confirmation** — the witness is pushed through
 //!    [`nqpv_semantics::exec_scheduled`] under the resolved scheduler and
 //!    the gap `Exp(ρ ⊨ Θ) − (Exp(σ ⊨ Ψ) + slack)` is re-measured
@@ -28,10 +29,13 @@
 //!
 //! The result is a structured [`Counterexample`] with human
 //! ([`Counterexample::human`]) and JSON ([`Counterexample::to_json`])
-//! renderings; [`explain_source`] applies the whole pipeline to every
-//! proof of an `.nqpv` source file — the engine's `--explain` mode, the
-//! daemon's `counterexamples` verdict payload, and the `nqpv explain`
-//! subcommand are thin wrappers over it.
+//! renderings. [`explain_session`] applies the whole pipeline to every
+//! proof a [`Session`] has verified, from the session's own records
+//! (term, library and verification outcome), so diagnosing costs no
+//! second verification: the engine's `--explain` mode and the daemon's
+//! `counterexamples` verdict payload use it on the session that produced
+//! the verdict. [`explain_source`] runs a session over an `.nqpv` source
+//! first — the `nqpv explain` subcommand is a thin wrapper over it.
 //!
 //! # Example
 //!
@@ -56,9 +60,9 @@ mod search;
 pub use search::{demonic_schedule, ScriptSched, SearchOutcome};
 
 use nqpv_core::{
-    backward, Annotated, AnnotatedNode, Assertion, FailedObligation, VcOptions, VerifyStatus,
+    backward, AnnotatedNode, Assertion, FailedObligation, Session, VcOptions, VerifyStatus,
 };
-use nqpv_lang::{parse_source, pretty_assertion, pretty_stmt, Command, Decl, ProofTerm, Stmt};
+use nqpv_lang::{parse_source, pretty_assertion, pretty_stmt, Command, ProofTerm, Stmt};
 use nqpv_linalg::{eigh, CMat, Complex};
 use nqpv_quantum::{OperatorLibrary, Register};
 use nqpv_semantics::{exec_scheduled, ExecOptions};
@@ -74,8 +78,8 @@ pub const CONFIRM_EPS: f64 = 1e-6;
 /// Forward-execution budget for replay and scheduler search.
 const REPLAY_FUEL: usize = 64;
 
-/// Cap on forward executions during the scheduler search (2¹¹ runs cover
-/// every script of up to ~10 dynamic choices exhaustively).
+/// Cap on the schedules the scheduler search scores (2¹¹ cover every
+/// script of up to 11 dynamic choices exhaustively).
 const SEARCH_BUDGET: usize = 2048;
 
 /// The refuting input state.
@@ -194,8 +198,8 @@ pub struct ProofDiagnosis {
 }
 
 /// Runs the whole diagnosis pipeline over an `.nqpv` source: verifies
-/// every proof exactly like a `Session` would, and extracts a
-/// counterexample for each rejected one.
+/// every proof in a [`Session`] (ignoring `show` commands) and extracts a
+/// counterexample for each rejected one (see [`explain_session`]).
 ///
 /// # Errors
 ///
@@ -208,47 +212,59 @@ pub fn explain_source(
     base_dir: &Path,
     opts: VcOptions,
 ) -> Result<Vec<ProofDiagnosis>, String> {
-    let file = parse_source(source).map_err(|e| e.to_string())?;
-    let mut lib = OperatorLibrary::with_builtins();
-    let mut out = Vec::new();
-    for cmd in &file.commands {
-        match cmd {
-            Command::Def(Decl::LoadOperator { name, path }) => {
-                let m = nqpv_linalg::read_matrix(base_dir.join(path))
-                    .map_err(|e| format!("loading '{path}': {e}"))?;
-                lib.insert_auto(name, m).map_err(|e| e.to_string())?;
-            }
-            Command::Def(Decl::Proof { name, term }) => {
-                let outcome =
-                    nqpv_core::verify_proof_term_with(term, &lib, opts, &HashMap::new(), None)
-                        .map_err(|e| format!("verifying proof '{name}':\n{e}"))?;
-                let diagnosis = match &outcome.status {
-                    VerifyStatus::Verified => ProofDiagnosis {
-                        name: name.clone(),
-                        verified: true,
-                        counterexample: None,
-                    },
-                    VerifyStatus::Unresolved { .. } => ProofDiagnosis {
-                        name: name.clone(),
-                        verified: false,
-                        counterexample: None,
-                    },
-                    VerifyStatus::PreconditionViolated { violation } => ProofDiagnosis {
-                        name: name.clone(),
-                        verified: false,
-                        counterexample: Some(explain_term(name, term, &lib, opts, violation)?),
-                    },
-                };
-                out.push(diagnosis);
-            }
-            Command::Show(_) => {}
-        }
-    }
-    Ok(out)
+    let mut file = parse_source(source).map_err(|e| e.to_string())?;
+    file.commands.retain(|cmd| !matches!(cmd, Command::Show(_)));
+    let mut session = Session::new().with_options(opts).with_base_dir(base_dir);
+    session.run(&file).map_err(|e| e.to_string())?;
+    explain_session(&session)
+}
+
+/// Diagnoses every proof a session has verified, in execution order, from
+/// the session's own records: each rejected proof is explained from its
+/// verification outcome (violation and annotated tree) and the library it
+/// was verified against, so nothing is parsed, loaded or verified again.
+///
+/// # Errors
+///
+/// A rendered message when a rejected proof cannot be re-elaborated
+/// (defensive: its term just verified against the same library).
+pub fn explain_session(session: &Session) -> Result<Vec<ProofDiagnosis>, String> {
+    let opts = session.options();
+    session
+        .proof_records()
+        .iter()
+        .map(|record| {
+            let outcome = &record.outcome;
+            let counterexample = match &outcome.status {
+                VerifyStatus::PreconditionViolated { violation } => {
+                    let (reg, post) = resolve_post(&record.term, &record.lib, opts)?;
+                    Some(counterexample(
+                        &record.name,
+                        &record.term,
+                        &record.lib,
+                        opts,
+                        violation,
+                        &reg,
+                        &post,
+                        (&outcome.computed_pre, &outcome.body),
+                    )?)
+                }
+                // `Unresolved` boundary verdicts carry no violation.
+                VerifyStatus::Verified | VerifyStatus::Unresolved { .. } => None,
+            };
+            Ok(ProofDiagnosis {
+                name: record.name.clone(),
+                verified: outcome.status.verified(),
+                counterexample,
+            })
+        })
+        .collect()
 }
 
 /// Extracts a counterexample for one rejected proof term from the
-/// verifier's structured violation record.
+/// verifier's structured violation record, running the backward pass
+/// again for the annotated tree ([`explain_session`] reuses the
+/// verification's own).
 ///
 /// # Errors
 ///
@@ -261,23 +277,54 @@ pub fn explain_term(
     opts: VcOptions,
     violation: &FailedObligation,
 ) -> Result<Counterexample, String> {
+    let (reg, post) = resolve_post(term, lib, opts)?;
+    let ann =
+        backward(&term.body, &post, lib, &reg, opts, &HashMap::new()).map_err(|e| e.to_string())?;
+    counterexample(
+        name,
+        term,
+        lib,
+        opts,
+        violation,
+        &reg,
+        &post,
+        (&ann.pre, &ann.node),
+    )
+}
+
+/// The proof's register and resolved postcondition.
+fn resolve_post(
+    term: &ProofTerm,
+    lib: &OperatorLibrary,
+    opts: VcOptions,
+) -> Result<(Register, Assertion), String> {
     let reg = Register::new(&term.qubits).map_err(|e| e.to_string())?;
     let post = Assertion::from_expr_with(&term.post, lib, &reg, opts.factor_assertions)
         .map_err(|e| e.to_string())?;
+    Ok((reg, post))
+}
+
+/// The counterexample of a violation, given the annotated tree: the
+/// computed verification condition and the statement annotations under it.
+#[allow(clippy::too_many_arguments)]
+fn counterexample(
+    name: &str,
+    term: &ProofTerm,
+    lib: &OperatorLibrary,
+    opts: VcOptions,
+    violation: &FailedObligation,
+    reg: &Register,
+    post: &Assertion,
+    (vc, node): (&Assertion, &AnnotatedNode),
+) -> Result<Counterexample, String> {
     let pre_expr = term
         .pre
         .as_ref()
         .ok_or("rejected proof carries no precondition")?;
-    let pre = Assertion::from_expr_with(pre_expr, lib, &reg, opts.factor_assertions)
+    let pre = Assertion::from_expr_with(pre_expr, lib, reg, opts.factor_assertions)
         .map_err(|e| e.to_string())?;
-    // Re-run the (deterministic) backward pass for the annotated tree —
-    // the per-statement conditions behind the trajectory.
-    let ann =
-        backward(&term.body, &post, lib, &reg, opts, &HashMap::new()).map_err(|e| e.to_string())?;
-    let vc = &ann.pre;
     let vc_index = violation.vc_index.min(vc.len().saturating_sub(1));
     let n_star = &vc.ops()[vc_index];
-
     // Candidate witnesses: the solver's game witness, its purification,
     // and the most-negative eigenvector of `VC[vc_index] − M` for every
     // `M ∈ Θ` (the paper's gap operator; every M must individually fail
@@ -325,16 +372,25 @@ pub fn explain_term(
     let search = demonic_schedule(
         &term.body,
         &rho,
-        &post,
+        post,
         lib,
-        &reg,
+        reg,
         opts.mode,
         exec,
         SEARCH_BUDGET,
     )
     .map_err(|e| e.to_string())?;
-    let trajectory = trajectory(&term.body, &ann, &rho, &post, lib, &reg, &search.bits, exec)
-        .map_err(|e| e.to_string())?;
+    let trajectory = trajectory(
+        &term.body,
+        (vc, node),
+        &rho,
+        post,
+        lib,
+        reg,
+        &search.bits,
+        exec,
+    )
+    .map_err(|e| e.to_string())?;
 
     let pre_expectation = pre.expectation(&rho);
     let post_expectation = search.score;
@@ -392,7 +448,7 @@ fn purify(rho: &CMat) -> Option<CMat> {
 #[allow(clippy::too_many_arguments)]
 fn trajectory(
     body: &Stmt,
-    ann: &Annotated,
+    (vc, node): (&Assertion, &AnnotatedNode),
     rho: &CMat,
     post: &Assertion,
     lib: &OperatorLibrary,
@@ -401,7 +457,7 @@ fn trajectory(
     exec: ExecOptions,
 ) -> Result<Vec<TrajectoryPoint>, nqpv_semantics::SemanticsError> {
     // Align top-level statements with their annotated conditions.
-    let (stmts, conds): (Vec<&Stmt>, Vec<&Assertion>) = match (body, &ann.node) {
+    let (stmts, conds): (Vec<&Stmt>, Vec<&Assertion>) = match (body, node) {
         (Stmt::Seq(items), AnnotatedNode::Seq(anns)) if items.len() == anns.len() => {
             let stmts: Vec<&Stmt> = items.iter().collect();
             // Condition *after* statement i = pre of statement i+1; after
@@ -416,7 +472,7 @@ fn trajectory(
     let mut state = rho.clone();
     let mut out = vec![TrajectoryPoint {
         statement: "(input)".to_string(),
-        expectation: ann.pre.expectation(&state),
+        expectation: vc.expectation(&state),
         trace: state.trace_re(),
     }];
     for (stmt, cond) in stmts.iter().zip(conds) {
@@ -527,6 +583,53 @@ mod tests {
         )
         .is_err());
         assert!(explain_source("not nqpv at all", Path::new("."), VcOptions::default()).is_err());
+    }
+
+    #[test]
+    fn the_search_is_bounded_by_the_schedule_budget() {
+        // `k` sequential choices, each flipping one of the qubits `qs`.
+        let choices = |k: usize, qs: &[&str]| {
+            (0..k)
+                .map(|i| format!("( skip # [{}] *= X )", qs[i % qs.len()]))
+                .collect::<Vec<_>>()
+                .join("; ")
+        };
+        let lib = OperatorLibrary::with_builtins();
+        let exec = ExecOptions {
+            fuel: REPLAY_FUEL,
+            ..ExecOptions::default()
+        };
+        let search = |k: usize, qs: &[&str]| {
+            let reg = Register::new(qs).unwrap();
+            let rho = CMat::identity(1 << qs.len()).scale_re(1.0 / (1 << qs.len()) as f64);
+            let post =
+                Assertion::from_ops(1 << qs.len(), vec![ket(&"0".repeat(qs.len())).projector()])
+                    .unwrap();
+            let stmt = nqpv_lang::parse_stmt(&choices(k, qs)).unwrap();
+            let mode = nqpv_core::Mode::Partial;
+            demonic_schedule(&stmt, &rho, &post, &lib, &reg, mode, exec, SEARCH_BUDGET).unwrap()
+        };
+        // Twelve choices on six qubits: 4096 schedules, twice the budget.
+        let six = ["q1", "q2", "q3", "q4", "q5", "q6"];
+        let twelve = search(12, &six);
+        assert!(!twelve.exhaustive);
+        assert_eq!(twelve.runs, SEARCH_BUDGET);
+        // Eleven choices: 2048 schedules, all scored.
+        let eleven = search(11, &["q1", "q2"]);
+        assert!(eleven.exhaustive);
+        assert_eq!(eleven.runs, SEARCH_BUDGET);
+        // The truncation shows on the counterexample, which the first
+        // 2048 schedules (choice #0 always left) still confirm.
+        let src = format!(
+            "def pf := proof [q1 q2] : {{ P0[q1] }}; {}; {{ P0[q1] }} end",
+            choices(12, &["q1", "q2"])
+        );
+        let report = explain_source(&src, Path::new("."), VcOptions::default()).unwrap();
+        let cex = report[0].counterexample.as_ref().expect("rejected");
+        assert!(!cex.exhaustive);
+        assert!(cex.confirmed);
+        assert_eq!(cex.schedule.len(), 12);
+        assert!(!cex.schedule[0].right);
     }
 
     #[test]

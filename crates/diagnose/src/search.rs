@@ -5,16 +5,18 @@
 //! when some `η` drives the liberal satisfaction
 //! `Exp(σ_η ⊨ Ψ) + (tr ρ − tr σ_η)` below `Exp(ρ ⊨ Θ)`. The search below
 //! enumerates scheduler scripts (one bit per dynamically encountered `□`,
-//! in execution order) through [`nqpv_semantics::exec_scheduled`] and
-//! returns the minimising script — for loop-free programs this is exact;
-//! loops are fuel-bounded and the search is capped by a run budget, in
-//! which case the best script found so far is returned and flagged
-//! non-exhaustive.
+//! in execution order) in one branching forward execution
+//! ([`nqpv_semantics::exec_branching`]) and returns the minimising script
+//! — for loop-free programs this is exact; loops are fuel-bounded and the
+//! search is capped by a schedule budget, in which case the best script
+//! found so far is returned and flagged non-exhaustive.
 
 use nqpv_core::{Assertion, Mode};
 use nqpv_linalg::CMat;
 use nqpv_quantum::{OperatorLibrary, Register};
-use nqpv_semantics::{exec_scheduled, Choice, ExecOptions, Scheduler, SemanticsError};
+use nqpv_semantics::{
+    exec_branching, Choice, ExecOptions, Explorer, Fork, Scheduler, SemanticsError,
+};
 
 /// A scheduler that replays a fixed script in **arrival order** (one bit
 /// per `decide` call, `true` = right branch), padding with left choices
@@ -52,7 +54,7 @@ impl Scheduler for ScriptSched {
 /// Result of a demonic scheduler search.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
-    /// The minimising script, truncated to the choices actually consumed.
+    /// The minimising script: one bit per choice its run met.
     pub bits: Vec<bool>,
     /// The minimised liberal satisfaction
     /// `Exp(σ ⊨ Ψ) + slack` (slack = lost trace mass in partial mode).
@@ -62,7 +64,7 @@ pub struct SearchOutcome {
     /// `true` when every scheduler script was enumerated within the
     /// budget (always the case for loop-free programs with few `□`s).
     pub exhaustive: bool,
-    /// Forward executions performed.
+    /// Schedules scored: complete scripts, each reached once.
     pub runs: usize,
 }
 
@@ -76,10 +78,9 @@ fn slack(mode: Mode, rho: &CMat, sigma: &CMat) -> f64 {
 }
 
 /// Finds the scheduler minimising `Exp(σ ⊨ post) + slack` from input
-/// `rho`, by depth-first enumeration of scheduler scripts. Every run's
-/// score is recorded (a prefix run pads with left choices, so it realises
-/// a complete schedule too), hence a best script exists even when the
-/// `budget` truncates the search.
+/// `rho`. Scripts are scored in lexicographic order (left before right)
+/// and the first minimum wins; at most `budget` of them are scored, so
+/// a truncated search returns the best of the first `budget` scripts.
 ///
 /// # Errors
 ///
@@ -97,46 +98,43 @@ pub fn demonic_schedule(
     exec: ExecOptions,
     budget: usize,
 ) -> Result<SearchOutcome, SemanticsError> {
-    let mut best: Option<(f64, Vec<bool>, CMat)> = None;
-    let mut exhaustive = true;
-    let mut runs = 0usize;
-    let mut stack: Vec<Vec<bool>> = vec![Vec::new()];
-    while let Some(prefix) = stack.pop() {
-        if runs >= budget.max(1) {
-            exhaustive = false;
-            break;
+    struct Demon<'a> {
+        rho: &'a CMat,
+        post: &'a Assertion,
+        mode: Mode,
+        budget: usize,
+        runs: usize,
+        best: Option<(f64, Vec<bool>, CMat)>,
+    }
+    impl Explorer for Demon<'_> {
+        fn fork(&mut self, _path: &[bool]) -> Fork {
+            Fork::Both
         }
-        runs += 1;
-        let mut sched = ScriptSched::new(prefix.clone());
-        let sigma = exec_scheduled(stmt, rho, lib, reg, &mut sched, exec)?;
-        let score = post.expectation(&sigma) + slack(mode, rho, &sigma);
-        let used = sched.used;
-        // The run realised `prefix` left-padded (or truncated) to the
-        // `used` choices it actually consumed.
-        let mut realised = prefix.clone();
-        realised.resize(used, false);
-        if best.as_ref().is_none_or(|(b, _, _)| score < *b) {
-            best = Some((score, realised, sigma));
-        }
-        if used > prefix.len() {
-            // Unexplored choices remain: branch on the next position.
-            // Right pushed first so the left extension is explored first
-            // (depth-first, leftmost) — matching the padded run above.
-            let mut right = prefix.clone();
-            right.push(true);
-            stack.push(right);
-            let mut left = prefix;
-            left.push(false);
-            stack.push(left);
+        fn leaf(&mut self, path: &[bool], sigma: CMat) -> bool {
+            self.runs += 1;
+            let score = self.post.expectation(&sigma) + slack(self.mode, self.rho, &sigma);
+            if self.best.as_ref().is_none_or(|(b, _, _)| score < *b) {
+                self.best = Some((score, path.to_vec(), sigma));
+            }
+            self.runs < self.budget
         }
     }
-    let (score, bits, sigma) = best.expect("at least one schedule was executed");
+    let mut demon = Demon {
+        rho,
+        post,
+        mode,
+        budget: budget.max(1),
+        runs: 0,
+        best: None,
+    };
+    let exhaustive = exec_branching(stmt, rho, lib, reg, &mut demon, exec)?;
+    let (score, bits, sigma) = demon.best.expect("at least one schedule was executed");
     Ok(SearchOutcome {
         bits,
         score,
         sigma,
         exhaustive,
-        runs,
+        runs: demon.runs,
     })
 }
 
@@ -145,6 +143,7 @@ mod tests {
     use super::*;
     use nqpv_lang::parse_stmt;
     use nqpv_quantum::ket;
+    use nqpv_semantics::exec_scheduled;
 
     fn setup() -> (OperatorLibrary, Register) {
         (
@@ -278,26 +277,45 @@ mod tests {
     #[test]
     fn budget_truncation_still_returns_a_schedule() {
         let (lib, reg) = setup();
-        // A loop with a choice inside: unbounded script space.
-        let s = parse_stmt("while M01[q] do ( [q] *= X # [q] *= H ) end").unwrap();
+        // A loop with a choice inside: unbounded script space. In total
+        // mode the demon keeps mass circulating until the fuel runs out.
+        let s = parse_stmt("while M01[q] do ( [q] *= H # skip ) end").unwrap();
         let rho = ket("1").projector();
         let post = Assertion::identity(2);
-        let out = demonic_schedule(
-            &s,
-            &rho,
-            &post,
-            &lib,
-            &reg,
-            Mode::Partial,
-            ExecOptions {
-                fuel: 16,
-                ..ExecOptions::default()
-            },
-            8,
-        )
-        .unwrap();
+        let exec = ExecOptions {
+            fuel: 16,
+            ..ExecOptions::default()
+        };
+        let budget = 8;
+        let out = demonic_schedule(&s, &rho, &post, &lib, &reg, Mode::Total, exec, budget).unwrap();
         assert!(!out.exhaustive);
-        assert!(out.runs <= 8);
-        assert!(out.score.is_finite());
+        assert_eq!(out.runs, budget);
+        // It is the best of the first `budget` schedules, left first: run
+        // them one by one, each the lexicographic successor of the last
+        // (flip its last left choice, drop what follows, pad with left).
+        let mut best: Option<(f64, Vec<bool>, CMat)> = None;
+        let mut prefix = Vec::new();
+        let mut first = None;
+        for _ in 0..budget {
+            let mut sched = ScriptSched::new(prefix.clone());
+            let sigma = exec_scheduled(&s, &rho, &lib, &reg, &mut sched, exec).unwrap();
+            let score = post.expectation(&sigma) + slack(Mode::Total, &rho, &sigma);
+            let mut bits = prefix.clone();
+            bits.resize(sched.used, false);
+            first.get_or_insert_with(|| bits.clone());
+            if best.as_ref().is_none_or(|(b, _, _)| score < *b) {
+                best = Some((score, bits.clone(), sigma));
+            }
+            let last_left = bits.iter().rposition(|&b| !b).expect("more schedules");
+            bits.truncate(last_left);
+            bits.push(true);
+            prefix = bits;
+        }
+        let (score, bits, sigma) = best.unwrap();
+        assert_eq!(out.bits, bits);
+        assert_eq!(out.score.to_bits(), score.to_bits());
+        assert_eq!(out.sigma.as_slice(), sigma.as_slice());
+        // A later schedule beat the first one.
+        assert_ne!(Some(out.bits), first);
     }
 }

@@ -520,7 +520,8 @@ pub fn run_batch(corpus: &Corpus, options: &BatchOptions) -> BatchReport {
 
 /// Runs one job in a fresh `Session` (sharing `cache` if provided).
 /// With `explain`, rejected jobs additionally run the `nqpv-diagnose`
-/// counterexample extractor; the witnesses ride along on the report.
+/// counterexample extractor on that session's verification records
+/// (no second verify); the witnesses ride along on the report.
 pub fn run_job(
     job: &Job,
     vc: VcOptions,
@@ -661,11 +662,13 @@ fn job_attempt(
         }
     };
     let counterexamples = if explain && matches!(status, JobStatus::Rejected { .. }) {
-        // Diagnosis re-verifies from scratch (no cache): extraction cost
-        // is paid only on the rejected minority, and a diagnosis failure
-        // degrades to "no witness", never to a changed verdict.
+        // Diagnosis explains from the session that just verified the job:
+        // its records carry each proof's term, outcome and library, so
+        // nothing is parsed or verified twice. The cost is paid only on
+        // the rejected minority, and a diagnosis failure degrades to "no
+        // witness", never to a changed verdict.
         let _span = tracer.span(Phase::Diagnose, "explain");
-        nqpv_diagnose::explain_source(&job.source, &job.base_dir, vc)
+        nqpv_diagnose::explain_session(&session)
             .map(|report| {
                 report
                     .into_iter()

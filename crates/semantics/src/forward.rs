@@ -1,7 +1,9 @@
 //! Forward (operational) execution of programs on density operators.
 //!
 //! Complements the denotational view: `exec_all` computes the output *set*
-//! `[[S]](ρ)` directly on states, `exec_scheduled` runs one scheduler.
+//! `[[S]](ρ)` directly on states, `exec_scheduled` runs one scheduler and
+//! `exec_branching` runs every schedule an explorer asks for, sharing
+//! their prefixes.
 //! Forward execution is exact for loop-free programs and fuel-bounded for
 //! loops (dropping the not-yet-exited mass, a trace-nonincreasing
 //! under-approximation, consistent with `F_n^η ⪯ [[while]]`).
@@ -12,6 +14,7 @@ use nqpv_lang::Stmt;
 use nqpv_linalg::CMat;
 use nqpv_quantum::{Measurement, OperatorLibrary, Register};
 use std::collections::HashSet;
+use std::rc::Rc;
 
 /// Options for set-valued forward execution.
 #[derive(Debug, Clone, Copy)]
@@ -75,6 +78,9 @@ pub fn exec_all(
 /// output state. Loops run for at most `opts.fuel` iterations; remaining
 /// mass is dropped.
 ///
+/// This is the one-branch case of [`exec_branching`]: the `k`-th `□`
+/// met on the way asks `sched.decide(k)`.
+///
 /// # Errors
 ///
 /// Returns [`SemanticsError`] on resolution failures.
@@ -86,80 +92,270 @@ pub fn exec_scheduled<S: Scheduler>(
     sched: &mut S,
     opts: ExecOptions,
 ) -> Result<CMat, SemanticsError> {
-    let mut counter = 0usize;
-    exec_one(stmt, rho.clone(), lib, reg, sched, &mut counter, opts)
-}
-
-fn exec_one<S: Scheduler>(
-    stmt: &Stmt,
-    rho: CMat,
-    lib: &OperatorLibrary,
-    reg: &Register,
-    sched: &mut S,
-    counter: &mut usize,
-    opts: ExecOptions,
-) -> Result<CMat, SemanticsError> {
-    let n = reg.n_qubits();
-    match stmt {
-        Stmt::Skip | Stmt::Assert(_) => Ok(rho),
-        Stmt::Abort => Ok(CMat::zeros(rho.rows(), rho.cols())),
-        Stmt::Init { qubits } => {
-            let pos = reg.positions(qubits)?;
-            Ok(apply_init(&rho, &pos, n))
-        }
-        Stmt::Unitary { qubits, op } => {
-            let u = lib.unitary(op)?;
-            let pos = reg.positions(qubits)?;
-            check_arity(op, u.rows(), pos.len())?;
-            Ok(nqpv_linalg::conjugate_gate(u, &pos, n, &rho))
-        }
-        Stmt::Seq(items) => {
-            let mut acc = rho;
-            for item in items {
-                acc = exec_one(item, acc, lib, reg, sched, counter, opts)?;
-            }
-            Ok(acc)
-        }
-        Stmt::NDet(a, b) => {
-            let k = *counter;
-            *counter += 1;
-            match sched.decide(k) {
-                Choice::Left => exec_one(a, rho, lib, reg, sched, counter, opts),
-                Choice::Right => exec_one(b, rho, lib, reg, sched, counter, opts),
+    struct OneBranch<'a, S> {
+        sched: &'a mut S,
+        out: Option<CMat>,
+    }
+    impl<S: Scheduler> Explorer for OneBranch<'_, S> {
+        fn fork(&mut self, path: &[bool]) -> Fork {
+            match self.sched.decide(path.len()) {
+                Choice::Left => Fork::Left,
+                Choice::Right => Fork::Right,
             }
         }
-        Stmt::If {
-            meas,
-            qubits,
-            then_branch,
-            else_branch,
-        } => {
-            let (m, pos) = resolve_meas(lib, reg, meas, qubits)?;
-            let rho0 = collapse(&m, 0, &rho, &pos, n);
-            let rho1 = collapse(&m, 1, &rho, &pos, n);
-            let out0 = exec_one(else_branch, rho0, lib, reg, sched, counter, opts)?;
-            let out1 = exec_one(then_branch, rho1, lib, reg, sched, counter, opts)?;
-            Ok(out0.add_mat(&out1))
-        }
-        Stmt::While {
-            meas, qubits, body, ..
-        } => {
-            let (m, pos) = resolve_meas(lib, reg, meas, qubits)?;
-            let mut exited = CMat::zeros(rho.rows(), rho.cols());
-            let mut circulating = rho;
-            for _ in 0..opts.fuel {
-                exited += &collapse(&m, 0, &circulating, &pos, n);
-                let cont = collapse(&m, 1, &circulating, &pos, n);
-                if cont.trace_re() < opts.mass_cutoff {
-                    return Ok(exited);
-                }
-                circulating = exec_one(body, cont, lib, reg, sched, counter, opts)?;
-            }
-            // Fuel exhausted: collect the final exit mass and drop the rest.
-            exited += &collapse(&m, 0, &circulating, &pos, n);
-            Ok(exited)
+        fn leaf(&mut self, _path: &[bool], sigma: CMat) -> bool {
+            self.out = Some(sigma);
+            true
         }
     }
+    let mut one = OneBranch { sched, out: None };
+    exec_branching(stmt, rho, lib, reg, &mut one, opts)?;
+    Ok(one
+        .out
+        .expect("a one-branch execution reaches exactly one leaf"))
+}
+
+/// How [`exec_branching`] continues at one `□`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fork {
+    /// Run the left operand only.
+    Left,
+    /// Run the right operand only.
+    Right,
+    /// Run the left operand now and the right one after every schedule
+    /// through the left has been visited.
+    Both,
+}
+
+/// Drives [`exec_branching`]: resolves each `□` and receives the output
+/// state of each complete schedule. A schedule is written as its path,
+/// one bit per `□` met, in execution order (`true` = right operand).
+pub trait Explorer {
+    /// Resolves the `□` met after the choices in `path`.
+    fn fork(&mut self, path: &[bool]) -> Fork;
+    /// Receives the output state of the schedule `path`. Returning
+    /// `false` stops the execution.
+    fn leaf(&mut self, path: &[bool], sigma: CMat) -> bool;
+}
+
+/// Runs the program under every schedule `explorer` forks into, depth
+/// first with the left operand first, so schedules reach
+/// [`Explorer::leaf`] in lexicographic order (left before right).
+///
+/// The schedules share their prefixes: a fork copies the state once and
+/// runs the statements before it once, where a restart per schedule would
+/// re-run them from the input. Only the current path is kept — for each
+/// fork on it whose right operand is still to run, that operand's input
+/// state — never the visited leaves. Loops run for at most `opts.fuel`
+/// iterations; mass still circulating then is dropped.
+///
+/// Returns `true` when every schedule was visited, `false` when `leaf`
+/// stopped the execution with some still unvisited.
+///
+/// # Errors
+///
+/// Returns [`SemanticsError`] on resolution failures.
+pub fn exec_branching<E: Explorer>(
+    stmt: &Stmt,
+    rho: &CMat,
+    lib: &OperatorLibrary,
+    reg: &Register,
+    explorer: &mut E,
+    opts: ExecOptions,
+) -> Result<bool, SemanticsError> {
+    let n = reg.n_qubits();
+    let mut path = Vec::new();
+    // The untried right operands on the current path: the path length
+    // at the fork, the operand, its input state and its continuation.
+    let mut pending: Vec<(usize, &Stmt, CMat, Rc<Kont>)> = Vec::new();
+    let mut k = Rc::new(Kont::Done);
+    let mut step = Step::Exec(stmt, rho.clone());
+    loop {
+        step = match step {
+            Step::Exec(stmt, rho) => match stmt {
+                Stmt::Skip | Stmt::Assert(_) => Step::Ret(rho),
+                Stmt::Abort => Step::Ret(CMat::zeros(rho.rows(), rho.cols())),
+                Stmt::Init { qubits } => {
+                    let pos = reg.positions(qubits)?;
+                    Step::Ret(apply_init(&rho, &pos, n))
+                }
+                Stmt::Unitary { qubits, op } => {
+                    let u = lib.unitary(op)?;
+                    let pos = reg.positions(qubits)?;
+                    check_arity(op, u.rows(), pos.len())?;
+                    Step::Ret(nqpv_linalg::conjugate_gate(u, &pos, n, &rho))
+                }
+                Stmt::Seq(items) => seq(items, rho, &mut k),
+                Stmt::NDet(a, b) => match explorer.fork(&path) {
+                    Fork::Left => {
+                        path.push(false);
+                        Step::Exec(a, rho)
+                    }
+                    Fork::Right => {
+                        path.push(true);
+                        Step::Exec(b, rho)
+                    }
+                    Fork::Both => {
+                        pending.push((path.len(), b, rho.clone(), k.clone()));
+                        path.push(false);
+                        Step::Exec(a, rho)
+                    }
+                },
+                Stmt::If {
+                    meas,
+                    qubits,
+                    then_branch,
+                    else_branch,
+                } => {
+                    let (m, pos) = resolve_meas(lib, reg, meas, qubits)?;
+                    let rho0 = collapse(&m, 0, &rho, &pos, n);
+                    let rho1 = collapse(&m, 1, &rho, &pos, n);
+                    k = Rc::new(Kont::Then {
+                        then_branch,
+                        rho1,
+                        next: k,
+                    });
+                    Step::Exec(else_branch, rho0)
+                }
+                Stmt::While {
+                    meas, qubits, body, ..
+                } => {
+                    let (m, pos) = resolve_meas(lib, reg, meas, qubits)?;
+                    let exited = CMat::zeros(rho.rows(), rho.cols());
+                    let lp = Rc::new(Loop { m, pos, body });
+                    loop_step(lp, exited, rho, 0, &mut k, n, opts)
+                }
+            },
+            Step::Ret(sigma) => {
+                if let Kont::Done = *k {
+                    if !explorer.leaf(&path, sigma) {
+                        return Ok(pending.is_empty());
+                    }
+                    let Some((depth, b, rho, next)) = pending.pop() else {
+                        return Ok(true);
+                    };
+                    path.truncate(depth);
+                    path.push(true);
+                    k = next;
+                    Step::Exec(b, rho)
+                } else {
+                    // Another branch still sharing the frame keeps its own
+                    // copy; the last one to leave takes it.
+                    let frame = Rc::try_unwrap(k).unwrap_or_else(|shared| (*shared).clone());
+                    match frame {
+                        Kont::Done => unreachable!("handled above"),
+                        Kont::Seq(rest, next) => {
+                            k = next;
+                            seq(rest, sigma, &mut k)
+                        }
+                        Kont::Then {
+                            then_branch,
+                            rho1,
+                            next,
+                        } => {
+                            k = Rc::new(Kont::Join { out0: sigma, next });
+                            Step::Exec(then_branch, rho1)
+                        }
+                        Kont::Join { out0, next } => {
+                            k = next;
+                            Step::Ret(out0.add_mat(&sigma))
+                        }
+                        Kont::Loop {
+                            lp,
+                            exited,
+                            iter,
+                            next,
+                        } => {
+                            k = next;
+                            loop_step(lp, exited, sigma, iter, &mut k, n, opts)
+                        }
+                    }
+                }
+            }
+        };
+    }
+}
+
+/// The next move of [`exec_branching`]'s machine.
+enum Step<'s> {
+    /// Execute a statement on a state.
+    Exec(&'s Stmt, CMat),
+    /// Hand a statement's output state to the continuation.
+    Ret(CMat),
+}
+
+/// What is left to do once the current statement returns its state. A
+/// frame is shared by every branch forked beneath it.
+#[derive(Clone)]
+enum Kont<'s> {
+    /// The program is done: the state is a schedule's output.
+    Done,
+    /// The rest of a sequence.
+    Seq(&'s [Stmt], Rc<Kont<'s>>),
+    /// The `else` branch returned: run the `then` branch on `rho1`.
+    Then {
+        then_branch: &'s Stmt,
+        rho1: CMat,
+        next: Rc<Kont<'s>>,
+    },
+    /// Both branches returned: add the `else` output.
+    Join { out0: CMat, next: Rc<Kont<'s>> },
+    /// One loop iteration returned; `iter` iterations have run.
+    Loop {
+        lp: Rc<Loop<'s>>,
+        exited: CMat,
+        iter: usize,
+        next: Rc<Kont<'s>>,
+    },
+}
+
+/// A resolved `while` statement.
+struct Loop<'s> {
+    m: Measurement,
+    pos: Vec<usize>,
+    body: &'s Stmt,
+}
+
+/// Starts the statements `items` on `rho`.
+fn seq<'s>(items: &'s [Stmt], rho: CMat, k: &mut Rc<Kont<'s>>) -> Step<'s> {
+    match items {
+        [] => Step::Ret(rho),
+        [only] => Step::Exec(only, rho),
+        [first, rest @ ..] => {
+            *k = Rc::new(Kont::Seq(rest, k.clone()));
+            Step::Exec(first, rho)
+        }
+    }
+}
+
+/// One loop test on `circulating` after `iter` iterations: the exit mass
+/// joins `exited`; the rest runs the body again, unless it is negligible
+/// or the fuel is spent, in which case it is dropped.
+fn loop_step<'s>(
+    lp: Rc<Loop<'s>>,
+    mut exited: CMat,
+    circulating: CMat,
+    iter: usize,
+    k: &mut Rc<Kont<'s>>,
+    n: usize,
+    opts: ExecOptions,
+) -> Step<'s> {
+    exited += &collapse(&lp.m, 0, &circulating, &lp.pos, n);
+    if iter == opts.fuel {
+        return Step::Ret(exited);
+    }
+    let cont = collapse(&lp.m, 1, &circulating, &lp.pos, n);
+    if cont.trace_re() < opts.mass_cutoff {
+        return Step::Ret(exited);
+    }
+    let body = lp.body;
+    *k = Rc::new(Kont::Loop {
+        lp,
+        exited,
+        iter: iter + 1,
+        next: k.clone(),
+    });
+    Step::Exec(body, cont)
 }
 
 struct FCtx<'a> {
@@ -385,6 +581,66 @@ mod tests {
         )
         .unwrap();
         assert!(right.approx_eq(&ket("1").projector(), 1e-10));
+    }
+
+    /// Records every schedule an always-forking execution visits.
+    struct Leaves {
+        stop_after: usize,
+        seen: Vec<(Vec<bool>, CMat)>,
+    }
+
+    impl Explorer for Leaves {
+        fn fork(&mut self, _path: &[bool]) -> Fork {
+            Fork::Both
+        }
+        fn leaf(&mut self, path: &[bool], sigma: CMat) -> bool {
+            self.seen.push((path.to_vec(), sigma));
+            self.seen.len() < self.stop_after
+        }
+    }
+
+    #[test]
+    fn branching_execution_visits_every_schedule_left_first() {
+        let (lib, reg) = setup(&["q1", "q2"]);
+        // Choices nested in a choice and in both branches of an `if`.
+        let s = parse_stmt(
+            "( skip # ( [q1] *= H # [q2] *= X ) ); \
+             if M01[q1] then ( skip # [q2] *= H ) else ( [q2] *= X # abort ) end",
+        )
+        .unwrap();
+        let rho = ket("+0").projector();
+        let mut all = Leaves {
+            stop_after: usize::MAX,
+            seen: Vec::new(),
+        };
+        assert!(exec_branching(&s, &rho, &lib, &reg, &mut all, ExecOptions::default()).unwrap());
+        // 3 ways through the first choice, then 2 × 2 through the `if`.
+        assert_eq!(all.seen.len(), 12);
+        assert!(all.seen.windows(2).all(|w| w[0].0 < w[1].0));
+        for (path, sigma) in &all.seen {
+            let mut sched = FromBits::new(path.clone());
+            let one =
+                exec_scheduled(&s, &rho, &lib, &reg, &mut sched, ExecOptions::default()).unwrap();
+            assert_eq!(one.as_slice(), sigma.as_slice(), "{path:?}");
+        }
+        // The same outputs as the set-valued semantics.
+        let set = exec_all(&s, &rho, &lib, &reg, ExecOptions::default()).unwrap();
+        for out in &set {
+            assert!(all.seen.iter().any(|(_, s)| s.approx_eq(out, 1e-12)));
+        }
+        // Stopping early reports the unvisited schedules.
+        let mut two = Leaves {
+            stop_after: 2,
+            seen: Vec::new(),
+        };
+        assert!(!exec_branching(&s, &rho, &lib, &reg, &mut two, ExecOptions::default()).unwrap());
+        assert_eq!(two.seen.len(), 2);
+        assert_eq!(two.seen[1].0, all.seen[1].0);
+        let mut last = Leaves {
+            stop_after: 12,
+            seen: Vec::new(),
+        };
+        assert!(exec_branching(&s, &rho, &lib, &reg, &mut last, ExecOptions::default()).unwrap());
     }
 
     #[test]

@@ -33,5 +33,5 @@ mod scheduler;
 pub use analysis::{classify_termination, termination_bounds, TerminationBounds, TerminationClass};
 pub use denote::{apply_set, denote, denote_bounded, DenoteOptions};
 pub use error::SemanticsError;
-pub use forward::{exec_all, exec_scheduled, ExecOptions};
+pub use forward::{exec_all, exec_branching, exec_scheduled, ExecOptions, Explorer, Fork};
 pub use scheduler::{Alternating, AlwaysLeft, AlwaysRight, Choice, FromBits, Scheduler};

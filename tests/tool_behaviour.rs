@@ -200,9 +200,10 @@ fn e4_cli_binary_verifies_the_shipped_examples() {
 
 #[test]
 fn cli_outputs_match_the_golden_fixtures() {
-    // `verify` and `show` output is byte-identical to the fixtures under
-    // tests/golden/: outlines, `VARk` numbering across the proofs of one
-    // file, `Error:` blocks of rejected proofs, and shown matrices.
+    // `verify`, `show` and `explain` output is byte-identical to the
+    // fixtures under tests/golden/: outlines, `VARk` numbering across the
+    // proofs of one file, `Error:` blocks of rejected proofs, shown
+    // matrices, and counterexamples (human and JSON).
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let manifest = std::fs::read_to_string(golden.join("MANIFEST")).expect("manifest");
     let mut cases = 0;
@@ -232,7 +233,36 @@ fn cli_outputs_match_the_golden_fixtures() {
         );
         cases += 1;
     }
-    assert_eq!(cases, 51, "every fixture case ran");
+    assert_eq!(cases, 59, "every fixture case ran");
+}
+
+#[test]
+fn explain_structural_errors_keep_their_messages_and_exit_code() {
+    // A structural failure is an error, not a diagnosis: nothing on
+    // stdout, the message on stderr, exit 2 — for a missing `.npy`, a
+    // parse error and an unknown operator, in both output modes.
+    let cases = [
+        (
+            "tests/golden/explain_missing_npy.nqpv",
+            "loading 'no_such_operator.npy': npy i/o error: No such file or directory (os error 2)\n",
+        ),
+        (
+            "examples/corpus/parse_error.nqpv",
+            "parse error at 5:10: expected an identifier (found ';')\n",
+        ),
+        (
+            "tests/golden/explain_unknown_op.nqpv",
+            "verifying proof 'pf':\nunknown operator 'NOPE'\n",
+        ),
+    ];
+    for (file, stderr) in cases {
+        for args in [vec!["explain", file], vec!["explain", "--json", file]] {
+            let Some(out) = run_nqpv(&args) else { return };
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            assert!(out.stdout.is_empty(), "{args:?}");
+            assert_eq!(String::from_utf8_lossy(&out.stderr), stderr, "{args:?}");
+        }
+    }
 }
 
 #[test]
