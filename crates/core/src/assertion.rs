@@ -34,11 +34,12 @@
 
 use nqpv_lang::AssertionExpr;
 use nqpv_linalg::{
-    adjoint_conjugate_gate, apply_gate_columns, apply_gate_columns_adjoint, conjugate_gate,
-    deposit_bits, detect_structure, diagonal_is_psd, embed, embed_diagonal, embed_factor,
-    exact_diagonal, factor_recompress, gram, hconcat, CMat, Complex, Structure,
+    adjoint_conjugate_diagonal, adjoint_conjugate_gate, apply_diagonal_columns_adjoint,
+    apply_gate_columns, apply_gate_columns_adjoint, conjugate_gate, deposit_bits, diagonal_is_psd,
+    embed, embed_diagonal, embed_factor, exact_diagonal, factor_recompress, gram, hconcat, CMat,
+    Complex, Structure,
 };
-use nqpv_quantum::{OperatorLibrary, Register, SuperOp};
+use nqpv_quantum::{OperatorLibrary, Register, SuperOp, Unitary};
 use nqpv_solver::{
     assertion_le, diagonal_assertion_le, factored_lowner_le, LownerOptions, Verdict,
 };
@@ -48,11 +49,6 @@ use std::ops::Deref;
 use std::sync::OnceLock;
 
 use crate::error::VerifError;
-
-/// Rank-detection tolerance applied when a user predicate is resolved
-/// against a register (operator-file load path included): the factored
-/// form must reproduce the dense operator entry-wise within this bound.
-const RANK_DETECT_TOL: f64 = 1e-9;
 
 /// A factored positive operator `M = V·V†` with `V` tall-skinny, plus a
 /// lazily materialised dense form for the consumers that genuinely need a
@@ -432,7 +428,8 @@ impl Assertion {
 
     /// Resolves a syntactic assertion against a library and register:
     /// every `P[q̄]` term is embedded as a cylinder extension onto the full
-    /// register space, with **rank detection** — predicates whose pivoted
+    /// register space, in the structure the library classified the
+    /// predicate with when it was bound — predicates whose pivoted
     /// Cholesky factorisation reveals a payoff-worthy rank (`2r ≤ 2ᵏ`)
     /// enter the pipeline factored, and exactly-diagonal ones without such
     /// a factor enter as their diagonal, with no syntax change for
@@ -467,7 +464,9 @@ impl Assertion {
         let n = reg.n_qubits();
         let mut ops = Vec::with_capacity(expr.terms.len());
         for term in &expr.terms {
-            let m = lib.predicate(&term.op).map_err(VerifError::Library)?;
+            let (m, structure) = lib
+                .predicate_structure(&term.op)
+                .map_err(VerifError::Library)?;
             let pos = reg.positions(&term.qubits).map_err(VerifError::Register)?;
             let k = m.rows().trailing_zeros() as usize;
             if k != pos.len() {
@@ -477,7 +476,7 @@ impl Assertion {
                     got: pos.len(),
                 });
             }
-            ops.push(resolve_term(&m, &pos, n, factor));
+            ops.push(resolve_term(m, structure, &pos, n, factor));
         }
         Assertion::from_predicates(reg.dim(), ops)
     }
@@ -564,20 +563,30 @@ impl Assertion {
     /// factored ones map their factor through one gate sweep
     /// (`U_S†·V` — rank and width unchanged, no recompression needed).
     /// Both read `U†` from `u` by index; no adjoint is materialised.
-    pub fn wp_unitary(&self, u: &CMat, positions: &[usize], n: usize) -> Assertion {
+    /// An exactly-diagonal `u` (see [`Unitary::diagonal`]) scales the
+    /// factor rows in `O(2ⁿ·r)` or the dense entries in `O(4ⁿ)` instead,
+    /// bitwise equal to the sweeps; diagonal predicates still come out
+    /// dense.
+    pub fn wp_unitary(&self, u: &Unitary, positions: &[usize], n: usize) -> Assertion {
         Assertion {
             dim: self.dim,
             ops: self
                 .ops
                 .iter()
-                .map(|p| match p {
-                    Predicate::Dense(_) | Predicate::Diagonal(_) => {
-                        Predicate::Dense(adjoint_conjugate_gate(u, positions, n, p.dense()))
-                    }
-                    Predicate::Factored(f) => {
+                .map(|p| match (p, u.diagonal()) {
+                    (Predicate::Factored(f), diagonal) => {
                         let mut v = f.v.clone();
-                        apply_gate_columns_adjoint(u, positions, n, &mut v);
+                        match diagonal {
+                            Some(d) => apply_diagonal_columns_adjoint(d, positions, n, &mut v),
+                            None => apply_gate_columns_adjoint(u, positions, n, &mut v),
+                        }
                         Predicate::Factored(Factor::new(v))
+                    }
+                    (_, Some(d)) => {
+                        Predicate::Dense(adjoint_conjugate_diagonal(d, positions, n, p.dense()))
+                    }
+                    (_, None) => {
+                        Predicate::Dense(adjoint_conjugate_gate(u, positions, n, p.dense()))
                     }
                 })
                 .collect(),
@@ -917,19 +926,25 @@ impl Assertion {
 }
 
 /// One resolved `P[q̄]` term: the library operator `m` embedded on
-/// `positions` of an `n`-qubit register. Rank detection runs on `m` at its
-/// native `2ᵏ` dimension: the embedded rank is `r·2^{n−k}`, so the
-/// factored form pays off exactly when `2r ≤ 2ᵏ` — passed down as the rank
-/// budget so full-rank operators abort cheaply. An exactly-diagonal `m`
-/// with no factor embeds as its diagonal, a gather of `2ⁿ` entries.
+/// `positions` of an `n`-qubit register, in the `structure` the library
+/// detected in `m` at its native `2ᵏ` dimension when it was bound. The
+/// embedded rank is `r·2^{n−k}`, so the factored form pays off exactly
+/// when `2r ≤ 2ᵏ`, the rank budget of that detection. An exactly-diagonal
+/// `m` with no factor embeds as its diagonal, a gather of `2ⁿ` entries.
 /// `factor = false` keeps every term dense.
-fn resolve_term(m: &CMat, positions: &[usize], n: usize, factor: bool) -> Predicate {
+fn resolve_term(
+    m: &CMat,
+    structure: &Structure,
+    positions: &[usize],
+    n: usize,
+    factor: bool,
+) -> Predicate {
     if !factor {
         return Predicate::Dense(embed(m, positions, n));
     }
-    match detect_structure(m, RANK_DETECT_TOL, m.rows() / 2) {
-        Structure::Factor(w) => Predicate::Factored(Factor::new(embed_factor(&w, positions, n))),
-        Structure::Diagonal(d) => match embeddable_diagonal(m, d) {
+    match structure {
+        Structure::Factor(w) => Predicate::Factored(Factor::new(embed_factor(w, positions, n))),
+        Structure::Diagonal(d) => match embeddable_diagonal(m, d.clone()) {
             Some(d) => Predicate::from_diagonal(embed_diagonal(&d, positions, n)),
             None => Predicate::Dense(embed(m, positions, n)),
         },
@@ -956,6 +971,14 @@ mod tests {
 
     fn reg2() -> Register {
         Register::new(&["q1", "q2"]).unwrap()
+    }
+
+    /// `resolve_term` on the structure the library's bind detects in `m`
+    /// (`m` need not be a predicate here).
+    fn resolve_detected(m: &CMat, positions: &[usize], n: usize) -> Predicate {
+        let structure =
+            nqpv_linalg::detect_structure(m, nqpv_quantum::RANK_DETECT_TOL, m.rows() / 2);
+        resolve_term(m, &structure, positions, n, true)
     }
 
     #[test]
@@ -1062,7 +1085,7 @@ mod tests {
         let a = Assertion::from_predicates(4, vec![marked]).unwrap();
         let h = nqpv_quantum::gates::h();
         let hh = h.kron(&h);
-        let wp = a.wp_unitary(&hh, &[0, 1], 2);
+        let wp = a.wp_unitary(&Unitary::new(hh.clone()), &[0, 1], 2);
         assert_eq!(wp.max_factored_rank(), Some(1));
         let dense_ref = hh.adjoint_conjugate(&ket("11").projector());
         assert!(wp.ops()[0].dense().approx_eq(&dense_ref, 1e-10));
@@ -1096,7 +1119,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let wp = a.wp_unitary(&u, &pos, n);
+        let wp = a.wp_unitary(&Unitary::new(u.clone()), &pos, n);
         let ua = u.adjoint();
         let mut v_ref = v;
         apply_gate_columns(&ua, &pos, n, &mut v_ref);
@@ -1176,12 +1199,12 @@ mod tests {
             nqpv_linalg::c(0.0, -0.0),
             nqpv_linalg::c(-0.5, 0.0),
         ]);
-        let p = resolve_term(&m, &[2, 0], 3, true);
+        let p = resolve_detected(&m, &[2, 0], 3);
         assert!(matches!(p, Predicate::Diagonal(_)));
         assert_eq!(bits(p.dense()), bits(&embed(&m, &[2, 0], 3)));
         let mut signed = m.clone();
         signed[(1, 1)] = nqpv_linalg::c(0.25, -0.0);
-        let p = resolve_term(&signed, &[2, 0], 3, true);
+        let p = resolve_detected(&signed, &[2, 0], 3);
         assert!(matches!(p, Predicate::Dense(_)));
         assert_eq!(bits(p.dense()), bits(&embed(&signed, &[2, 0], 3)));
     }
@@ -1461,7 +1484,7 @@ mod tests {
                     })
                     .collect::<Vec<_>>(),
             );
-            let p = resolve_term(&m, &pos, n, true);
+            let p = resolve_detected(&m, &pos, n);
             if !p.is_factored() {
                 proptest::prop_assert_eq!(bits(p.dense()), bits(&embed(&m, &pos, n)));
             }

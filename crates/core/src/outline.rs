@@ -358,11 +358,14 @@ fn register_expr(
     registry: &mut PredicateRegistry,
 ) {
     for term in &expr.terms {
-        let (Ok(m), Ok(pos)) = (lib.predicate(&term.op), reg.positions(&term.qubits)) else {
+        let (Ok((m, _)), Ok(pos)) = (
+            lib.predicate_structure(&term.op),
+            reg.positions(&term.qubits),
+        ) else {
             continue;
         };
         if m.rows() == 1 << pos.len() {
-            let embedded = nqpv_linalg::embed(&m, &pos, reg.n_qubits());
+            let embedded = nqpv_linalg::embed(m, &pos, reg.n_qubits());
             registry.register_named(
                 &format!("{}[{}]", term.op, term.qubits.join(" ")),
                 &embedded,

@@ -475,8 +475,8 @@ impl Ctx<'_> {
             for q in &term.qubits {
                 h.write_str(q);
             }
-            if let Ok(m) = self.lib.predicate(&term.op) {
-                h.write_matrix(&m);
+            if let Ok((m, _)) = self.lib.predicate_structure(&term.op) {
+                h.write_matrix(m);
             }
         }
     }

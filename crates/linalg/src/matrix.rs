@@ -439,8 +439,21 @@ impl CMat {
         if !self.is_square() {
             return false;
         }
-        let prod = self.adjoint().mul(self);
-        prod.approx_eq(&CMat::identity(self.rows), tol)
+        self.adjoint_mul(self).is_identity(tol)
+    }
+
+    /// `true` if `A = I` within `tol`: `approx_eq` against the identity,
+    /// entry by entry, without building it.
+    pub fn is_identity(&self, tol: f64) -> bool {
+        self.is_square()
+            && self.data.iter().enumerate().all(|(k, z)| {
+                let want = if k / self.cols == k % self.cols {
+                    Complex::ONE
+                } else {
+                    Complex::ZERO
+                };
+                z.approx_eq(want, tol)
+            })
     }
 
     /// Hermitian part `(A + A†)/2`; useful to repair rounding drift.
@@ -471,37 +484,19 @@ impl CMat {
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn mul(&self, rhs: &CMat) -> CMat {
         assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
-        let mut out = CMat::zeros(self.rows, rhs.cols);
-        let ncols = rhs.cols;
-        if self.rows == 0 || ncols == 0 || self.cols == 0 {
-            return out;
-        }
-        let shared = crate::par::SharedMut::new(&mut out.data);
-        crate::par::sweep(self.rows, self.cols * ncols, |rows| {
-            for kb in (0..self.cols).step_by(MUL_BLOCK_K) {
-                let kend = self.cols.min(kb + MUL_BLOCK_K);
-                for i in rows.clone() {
-                    // SAFETY: chunks own disjoint row ranges, so the
-                    // reconstituted output rows never alias across
-                    // threads; the borrow of `out` outlives the sweep.
-                    let orow = unsafe {
-                        std::slice::from_raw_parts_mut(shared.ptr().add(i * ncols), ncols)
-                    };
-                    for k in kb..kend {
-                        let a = self[(i, k)];
-                        // Skip exact (±0) zeros only — see `Complex::is_exact_zero`.
-                        if a.is_exact_zero() {
-                            continue;
-                        }
-                        let rrow = &rhs.data[k * ncols..(k + 1) * ncols];
-                        for (o, r) in orow.iter_mut().zip(rrow) {
-                            *o += a * *r;
-                        }
-                    }
-                }
-            }
-        });
-        out
+        mul_by(self.rows, self.cols, |i, k| self[(i, k)], rhs)
+    }
+
+    /// `A†·B`, reading `A†` from `self` by index instead of copying it:
+    /// bitwise identical to `self.adjoint().mul(rhs)`, since every output
+    /// element sums the same products in the same ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != rhs.rows()`.
+    pub fn adjoint_mul(&self, rhs: &CMat) -> CMat {
+        assert_eq!(self.rows, rhs.rows, "matmul shape mismatch");
+        mul_by(self.cols, self.rows, |i, k| self[(k, i)].conj(), rhs)
     }
 
     /// Conjugation `A·B·A†` (e.g. `UρU†`, `KρK†`).
@@ -509,9 +504,11 @@ impl CMat {
         self.mul(inner).mul(&self.adjoint())
     }
 
-    /// Adjoint conjugation `A†·B·A` (e.g. `U†MU` in Heisenberg picture).
+    /// Adjoint conjugation `A†·B·A` (e.g. `U†MU` in Heisenberg picture),
+    /// reading `A†` by index ([`CMat::adjoint_mul`]): bitwise identical to
+    /// `self.adjoint().mul(inner).mul(self)`.
     pub fn adjoint_conjugate(&self, inner: &CMat) -> CMat {
-        self.adjoint().mul(inner).mul(self)
+        self.adjoint_mul(inner).mul(self)
     }
 
     /// Tensor (Kronecker) product `self ⊗ other`.
@@ -622,6 +619,48 @@ impl CMat {
         }
         h
     }
+}
+
+/// The blocked, row-parallel product kernel behind [`CMat::mul`] and
+/// [`CMat::adjoint_mul`]: `out[i] = Σ_k lhs(i, k)·rhs[k]` for a virtual
+/// `rows × inner` left operand read through `lhs`, skipping exact-zero
+/// `lhs` entries and accumulating each element in ascending `k`.
+fn mul_by(
+    rows: usize,
+    inner: usize,
+    lhs: impl Fn(usize, usize) -> Complex + Sync,
+    rhs: &CMat,
+) -> CMat {
+    let mut out = CMat::zeros(rows, rhs.cols);
+    let ncols = rhs.cols;
+    if rows == 0 || ncols == 0 || inner == 0 {
+        return out;
+    }
+    let shared = crate::par::SharedMut::new(&mut out.data);
+    crate::par::sweep(rows, inner * ncols, |rows| {
+        for kb in (0..inner).step_by(MUL_BLOCK_K) {
+            let kend = inner.min(kb + MUL_BLOCK_K);
+            for i in rows.clone() {
+                // SAFETY: chunks own disjoint row ranges, so the
+                // reconstituted output rows never alias across
+                // threads; the borrow of `out` outlives the sweep.
+                let orow =
+                    unsafe { std::slice::from_raw_parts_mut(shared.ptr().add(i * ncols), ncols) };
+                for k in kb..kend {
+                    let a = lhs(i, k);
+                    // Skip exact (±0) zeros only — see `Complex::is_exact_zero`.
+                    if a.is_exact_zero() {
+                        continue;
+                    }
+                    let rrow = &rhs.data[k * ncols..(k + 1) * ncols];
+                    for (o, r) in orow.iter_mut().zip(rrow) {
+                        *o += a * *r;
+                    }
+                }
+            }
+        }
+    });
+    out
 }
 
 impl Index<(usize, usize)> for CMat {
@@ -852,6 +891,29 @@ mod tests {
         let not_h = CMat::from_real(2, 2, &[0.0, 1.0, 0.0, 0.0]);
         assert!(!not_h.is_hermitian(TOL));
         assert!(!not_h.is_unitary(TOL));
+    }
+
+    #[test]
+    fn identity_check_decides_as_comparison_with_identity() {
+        let mut near = CMat::identity(4);
+        near[(1, 2)] = Complex::new(0.0, 0.5e-12);
+        let mut nan = CMat::identity(2);
+        nan[(1, 1)] = Complex::new(f64::NAN, 0.0);
+        for (m, want) in [
+            (CMat::identity(4), true),
+            (near.clone(), true),
+            (near.scale_re(1.0 + 1e-11), false),
+            (pauli_x(), false),
+            (nan, false),
+            (CMat::zeros(2, 4), false),
+        ] {
+            assert_eq!(m.is_identity(1e-12), want, "{m:?}");
+            let square = m.is_square();
+            assert_eq!(
+                square && m.approx_eq(&CMat::identity(m.rows()), 1e-12),
+                want
+            );
+        }
     }
 
     #[test]

@@ -94,35 +94,40 @@ pub fn read_matrix_bytes(bytes: &[u8]) -> Result<CMat, NpyError> {
         2 => (shape[0], shape[1]),
         r => return Err(NpyError::UnsupportedRank(r)),
     };
-    let count = rows * cols;
-    let payload = &bytes[10 + header_len..];
-    let data = match descr.as_str() {
-        "<c16" | "|c16" | "=c16" => {
-            if payload.len() < count * 16 {
-                return Err(NpyError::Truncated);
-            }
-            (0..count)
-                .map(|k| {
-                    let re = f64::from_le_bytes(payload[k * 16..k * 16 + 8].try_into().unwrap());
-                    let im =
-                        f64::from_le_bytes(payload[k * 16 + 8..k * 16 + 16].try_into().unwrap());
-                    Complex::new(re, im)
-                })
-                .collect::<Vec<_>>()
-        }
-        "<f8" | "|f8" | "=f8" => {
-            if payload.len() < count * 8 {
-                return Err(NpyError::Truncated);
-            }
-            (0..count)
-                .map(|k| {
-                    Complex::real(f64::from_le_bytes(
-                        payload[k * 8..k * 8 + 8].try_into().unwrap(),
-                    ))
-                })
-                .collect::<Vec<_>>()
-        }
+    // The shape comes from the file: size it with checked arithmetic and
+    // against the payload before anything is allocated.
+    let width = match descr.as_str() {
+        "<c16" | "|c16" | "=c16" => 16,
+        "<f8" | "|f8" | "=f8" => 8,
         other => return Err(NpyError::UnsupportedDtype(other.to_string())),
+    };
+    let Some(count) = rows.checked_mul(cols) else {
+        return Err(NpyError::BadHeader(format!(
+            "shape ({rows}, {cols}) overflows the address space"
+        )));
+    };
+    let payload = &bytes[10 + header_len..];
+    if count
+        .checked_mul(width)
+        .is_none_or(|need| payload.len() < need)
+    {
+        return Err(NpyError::Truncated);
+    }
+    let data = if width == 16 {
+        payload[..count * 16]
+            .chunks_exact(16)
+            .map(|b| {
+                Complex::new(
+                    f64::from_le_bytes(b[..8].try_into().unwrap()),
+                    f64::from_le_bytes(b[8..].try_into().unwrap()),
+                )
+            })
+            .collect::<Vec<_>>()
+    } else {
+        payload[..count * 8]
+            .chunks_exact(8)
+            .map(|b| Complex::real(f64::from_le_bytes(b.try_into().unwrap())))
+            .collect::<Vec<_>>()
     };
     Ok(CMat::from_vec(rows, cols, data))
 }
@@ -227,6 +232,7 @@ fn extract_shape(header: &str) -> Option<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::complex::c;
+    use std::path::PathBuf;
 
     #[test]
     fn round_trip_complex_matrix() {
@@ -234,6 +240,35 @@ mod tests {
         let bytes = write_matrix_bytes(&m);
         let back = read_matrix_bytes(&bytes).unwrap();
         assert!(back.approx_eq(&m, 0.0_f64.max(1e-15)));
+    }
+
+    /// A checked-in regression file under `tests/data/`.
+    fn regression(name: &str) -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/data")
+            .join(name)
+    }
+
+    #[test]
+    fn shapes_larger_than_the_payload_are_errors_before_allocation() {
+        // 144 bytes claiming 2⁶⁰+1 complex entries: `count * 16` wraps to
+        // 16, so an unchecked size test would pass and then allocate.
+        assert!(matches!(
+            read_matrix(regression("shape_2p60_plus_1.npy")),
+            Err(NpyError::Truncated)
+        ));
+        // 2³²·2³² entries: `rows * cols` itself overflows.
+        match read_matrix(regression("shape_2p32_squared.npy")) {
+            Err(NpyError::BadHeader(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+            other => panic!("expected a bad-header error, got {other:?}"),
+        }
+        // One entry short of the shape.
+        let mut bytes = write_matrix_bytes(&CMat::identity(2));
+        bytes.truncate(bytes.len() - 1);
+        assert!(matches!(
+            read_matrix_bytes(&bytes),
+            Err(NpyError::Truncated)
+        ));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Property tests for the intra-job parallel kernels: every threaded
 //! sweep (gate columns, conjugation, blocked matmul, gram) produces
 //! byte-identical output at thread counts 1, 2 and 7, non-contiguous
-//! footprints included, and every gate sweep that reads its gate through
+//! footprints included, every gate sweep that reads its gate through
 //! an index view (adjoint, conjugate, transpose) matches the same sweep
-//! over the materialised matrix bit for bit.
+//! over the materialised matrix bit for bit, and so do the diagonal-gate
+//! kernels and the index-read `A†·B`.
 
 use nqpv_linalg::{
-    adjoint_conjugate_gate, apply_gate_columns, apply_gate_columns_adjoint,
-    apply_gate_right_adjoint, c, conjugate_gate, gram, par, CMat,
+    adjoint_conjugate_diagonal, adjoint_conjugate_gate, apply_diagonal_columns_adjoint,
+    apply_gate_columns, apply_gate_columns_adjoint, apply_gate_right_adjoint, c,
+    conjugate_diagonal, conjugate_gate, gram, par, CMat, Complex,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -243,6 +245,89 @@ proptest! {
                 prop_assert!(
                     bits_eq(&viewed, &right_adjoint_reference(&g, pos, n, &op)),
                     "right adjoint, {threads} threads"
+                );
+                Ok(())
+            })?;
+        }
+    }
+}
+
+/// Entry `t` of a random diagonal unitary: a unit phase, or (by `kind`)
+/// one of the signed-zero-carrying phases `1 − 0i`, `−1 + 0i`, `i`,
+/// `−0 − i`, whose products with signed-zero operands come out −0.
+fn phase(kind: usize, theta: f64) -> Complex {
+    match kind {
+        0 => c(1.0, -0.0),
+        1 => c(-1.0, 0.0),
+        2 => c(0.0, 1.0),
+        3 => c(-0.0, -1.0),
+        _ => Complex::from_polar(1.0, theta),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn diagonal_kernels_match_the_dense_sweeps_bitwise(
+        k in 1usize..=3,
+        extra in 0usize..=3,
+        width in 0usize..=5,
+        keys in proptest::collection::vec(0u32..1000, 6),
+        kinds in proptest::collection::vec(0usize..8, 8),
+        thetas in proptest::collection::vec(-3.2f64..3.2, 8),
+        big_op in cmat(64, 64),
+        big_factor in cmat(64, 5),
+    ) {
+        let n = (k + extra).min(6);
+        let (dk, d) = (1usize << k, 1usize << n);
+        let diag: Vec<Complex> = (0..dk).map(|t| phase(kinds[t], thetas[t])).collect();
+        let gate = CMat::diag(&diag);
+        // k distinct positions of 0..n in a random order.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&q| (keys[q], q));
+        let pos = &order[..k];
+        let op = block(&big_op, d, d);
+        let factor = block(&big_factor, d, width);
+        for threads in [1usize, 4] {
+            with_threads(threads, || -> Result<(), TestCaseError> {
+                let mut fast = factor.clone();
+                apply_diagonal_columns_adjoint(&diag, pos, n, &mut fast);
+                let mut swept = factor.clone();
+                apply_gate_columns_adjoint(&gate, pos, n, &mut swept);
+                prop_assert!(bits_eq(&fast, &swept), "factor columns, {threads} threads");
+                prop_assert!(
+                    bits_eq(
+                        &adjoint_conjugate_diagonal(&diag, pos, n, &op),
+                        &adjoint_conjugate_gate(&gate, pos, n, &op)
+                    ),
+                    "dense D†MD, {threads} threads"
+                );
+                prop_assert!(
+                    bits_eq(
+                        &conjugate_diagonal(&diag, pos, n, &op),
+                        &conjugate_gate(&gate, pos, n, &op)
+                    ),
+                    "state DρD†, {threads} threads"
+                );
+                Ok(())
+            })?;
+        }
+    }
+
+    #[test]
+    fn index_read_adjoint_products_match_the_copies_bitwise(
+        a in cmat(17, 13),
+        b in cmat(17, 9),
+        m in cmat(17, 17),
+        k in cmat(17, 17),
+    ) {
+        for threads in [1usize, 4] {
+            with_threads(threads, || -> Result<(), TestCaseError> {
+                prop_assert!(bits_eq(&a.adjoint_mul(&b), &a.adjoint().mul(&b)), "A†B");
+                prop_assert!(
+                    bits_eq(&k.adjoint_conjugate(&m), &k.adjoint().mul(&m).mul(&k)),
+                    "K†MK"
                 );
                 Ok(())
             })?;

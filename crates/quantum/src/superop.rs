@@ -356,7 +356,7 @@ impl SuperOp {
         let mut out = CMat::zeros(self.dim, self.dim);
         if self.positions.len() == self.n_qubits {
             // Full footprint: dense conjugation keeps the zero-skip fast
-            // path (see `apply`).
+            // path (see `apply`), reading K† by index.
             for k in self.kraus() {
                 out += &k.adjoint_conjugate(m);
             }

@@ -167,4 +167,26 @@ proptest! {
         let sum_slow = dense_apply(&k1, &p1, n, &rho).add_mat(&dense_apply(&k2, &p2, n, &rho));
         prop_assert!(sum_fast.approx_eq(&sum_slow, 1e-10), "add: {p1:?} + {p2:?}");
     }
+
+    #[test]
+    fn full_footprint_heisenberg_matches_the_copied_adjoint_bitwise(seed in 1u64..u64::MAX) {
+        // The full-footprint dense arm reads K† by index; it must sum
+        // exactly what Σ K†·M·K over materialised adjoints sums.
+        let n = 3usize;
+        let mut s = seed;
+        let kraus = random_local_kraus(1 << n, 3, &mut s);
+        let m = random_herm(1 << n, &mut s);
+        for positions in [vec![0, 1, 2], vec![2, 0, 1]] {
+            let e = SuperOp::from_local_kraus(kraus.clone(), positions.clone(), n).unwrap();
+            let mut copied = CMat::zeros(1 << n, 1 << n);
+            for k in e.kraus() {
+                copied += &k.adjoint().mul(&m).mul(k);
+            }
+            let fast = e.apply_heisenberg(&m);
+            let bits = |x: &CMat| -> Vec<(u64, u64)> {
+                x.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+            };
+            prop_assert!(bits(&fast) == bits(&copied), "positions {positions:?}");
+        }
+    }
 }

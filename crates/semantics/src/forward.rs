@@ -183,7 +183,7 @@ pub fn exec_branching<E: Explorer>(
                     let u = lib.unitary(op)?;
                     let pos = reg.positions(qubits)?;
                     check_arity(op, u.rows(), pos.len())?;
-                    Step::Ret(nqpv_linalg::conjugate_gate(u, &pos, n, &rho))
+                    Step::Ret(u.conjugate_state(&pos, n, &rho))
                 }
                 Stmt::Seq(items) => seq(items, rho, &mut k),
                 Stmt::NDet(a, b) => match explorer.fork(&path) {
@@ -378,7 +378,7 @@ impl FCtx<'_> {
                 let u = self.lib.unitary(op)?;
                 let pos = self.reg.positions(qubits)?;
                 check_arity(op, u.rows(), pos.len())?;
-                Ok(vec![nqpv_linalg::conjugate_gate(u, &pos, n, &rho)])
+                Ok(vec![u.conjugate_state(&pos, n, &rho)])
             }
             Stmt::Seq(items) => {
                 let mut acc = vec![rho];

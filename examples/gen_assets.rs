@@ -7,12 +7,13 @@
 //!
 //! Writes `examples/nqpv_files/{invN,psi,dpost}.npy` (used by the CLI
 //! examples the integration tests drive) and `examples/corpus/{psi,dpost}.npy`
-//! (used by the `nqpv batch` corpus), and the 3-qubit Grover operators
-//! behind `tests/golden/diagonal.nqpv`. Deterministic output: re-running
+//! (used by the `nqpv batch` corpus), the 3-qubit Grover operators
+//! behind `tests/golden/diagonal.nqpv`, and the complex-phase diagonal
+//! unitary and full-rank predicate behind `tests/golden/phases.nqpv`. Deterministic output: re-running
 //! produces byte-identical files.
 
 use nqpv::core::casestudies::{grover_parameters, qwalk_invariant};
-use nqpv::linalg::{cr, write_matrix, CMat, CVec};
+use nqpv::linalg::{c, cr, write_matrix, CMat, CVec, Complex};
 use nqpv::quantum::ket;
 use std::path::Path;
 
@@ -39,6 +40,23 @@ fn main() {
     let pre = CMat::identity(dim).scale_re(p - 1e-9);
     let pre_high = CMat::identity(dim).scale_re(p + 0.01);
 
+    // A two-qubit diagonal unitary with four distinct phases, so its
+    // action depends on the order of the qubits it is applied to, and a
+    // full-rank two-qubit predicate I/2 + A/8 with complex off-diagonal
+    // entries (A hermitian with spectral radius below 4).
+    let phase = CMat::diag(&[
+        Complex::ONE,
+        Complex::I,
+        Complex::from_polar(1.0, std::f64::consts::FRAC_PI_4),
+        Complex::from_polar(1.0, 2.5),
+    ]);
+    let a = CMat::from_fn(4, 4, |i, j| match i.cmp(&j) {
+        std::cmp::Ordering::Equal => cr(i as f64 * 0.5 - 0.75),
+        std::cmp::Ordering::Less => c(0.25 + 0.125 * j as f64, 0.375 - 0.125 * i as f64),
+        std::cmp::Ordering::Greater => c(0.25 + 0.125 * i as f64, -(0.375 - 0.125 * j as f64)),
+    });
+    let mix = CMat::identity(4).scale_re(0.5).add_mat(&a.scale_re(0.125));
+
     for (dir, files) in [
         (
             "examples/nqpv_files",
@@ -60,6 +78,8 @@ fn main() {
                 ("grover3_marked.npy", &marked),
                 ("grover3_pre.npy", &pre),
                 ("grover3_pre_high.npy", &pre_high),
+                ("phase2.npy", &phase),
+                ("mix2.npy", &mix),
             ],
         ),
     ] {

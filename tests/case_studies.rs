@@ -168,6 +168,39 @@ fn e6_grover_verifies_and_derives_success_probability() {
 }
 
 #[test]
+fn e6_grover_computed_preconditions_keep_their_bits() {
+    // FNV-1a of the re/im bits of the computed precondition's dense form,
+    // pinned for n = 1..=9. Changing how an operator is stored or applied
+    // (the Oracle is an exact diagonal, Hⁿ and Diff are dense) must not
+    // change a single bit of the result.
+    let pinned: [u64; 9] = [
+        0x83dc_040a_16fd_f729,
+        0x7d35_0b3f_bb4c_586d,
+        0x1e21_a32b_61f7_8815,
+        0x2cee_8b28_c89d_e265,
+        0x941d_4ff4_8e0f_bb25,
+        0x7cc7_a142_ea42_5825,
+        0x8034_f163_e038_bb25,
+        0x10bb_f9ee_15b2_6725,
+        0x9d6e_049d_04cc_e325,
+    ];
+    for (n, &want) in (1..=9).zip(&pinned) {
+        let outcome = grover(n).verify().expect("verification runs");
+        assert_eq!(outcome.computed_pre.len(), 1, "n = {n}");
+        let mut bytes = Vec::new();
+        for z in outcome.computed_pre.ops()[0].dense().as_slice() {
+            bytes.extend_from_slice(&z.re.to_bits().to_le_bytes());
+            bytes.extend_from_slice(&z.im.to_bits().to_le_bytes());
+        }
+        assert_eq!(
+            nqpv::core::cache::fnv1a(&bytes),
+            want,
+            "n = {n}: computed precondition bits changed"
+        );
+    }
+}
+
+#[test]
 fn e6_grover_rejects_overclaimed_success() {
     // Claiming success probability above the true p must fail.
     let n = 3;

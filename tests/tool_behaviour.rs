@@ -233,18 +233,30 @@ fn cli_outputs_match_the_golden_fixtures() {
         );
         cases += 1;
     }
-    assert_eq!(cases, 59, "every fixture case ran");
+    assert_eq!(cases, 69, "every fixture case ran");
 }
 
 #[test]
 fn explain_structural_errors_keep_their_messages_and_exit_code() {
     // A structural failure is an error, not a diagnosis: nothing on
-    // stdout, the message on stderr, exit 2 — for a missing `.npy`, a
-    // parse error and an unknown operator, in both output modes.
+    // stdout, the message on stderr, exit 2 — for a missing `.npy`, two
+    // `.npy` headers whose shapes outsize their payload (no panic, no
+    // allocation), a parse error and an unknown operator, in both output
+    // modes.
     let cases = [
         (
             "tests/golden/explain_missing_npy.nqpv",
             "loading 'no_such_operator.npy': npy i/o error: No such file or directory (os error 2)\n",
+        ),
+        (
+            "tests/golden/explain_shape_2p60_plus_1.nqpv",
+            "loading '../../crates/linalg/tests/data/shape_2p60_plus_1.npy': \
+             npy payload shorter than header shape\n",
+        ),
+        (
+            "tests/golden/explain_shape_2p32_squared.nqpv",
+            "loading '../../crates/linalg/tests/data/shape_2p32_squared.npy': \
+             malformed npy header: shape (4294967296, 4294967296) overflows the address space\n",
         ),
         (
             "examples/corpus/parse_error.nqpv",
