@@ -51,7 +51,7 @@ fn main() -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  nqpv verify [--infer] FILE.nqpv\n  nqpv explain [--infer] [--json] [--trace DIR] [--profile-out FILE]\n              [--kernel-threads N] FILE.nqpv\n  nqpv show [--infer] FILE.nqpv NAME\n  nqpv check FILE.nqpv\n  nqpv batch [--infer] [--jobs N] [--json] [--no-cache] [--cache-cap N]\n             [--cache-dir DIR] [--cache-max-bytes N] [--explain]\n             [--trace DIR] [--flight-dir DIR] [--job-timeout SECS]\n             [--kernel-threads N] [--profile-out FILE] DIR|MANIFEST\n  nqpv serve --addr HOST:PORT [--infer] [--jobs N] [--no-cache]\n             [--cache-cap N] [--cache-dir DIR] [--cache-max-bytes N]\n             [--max-queue N] [--max-per-client N] [--job-timeout SECS]\n             [--drain-timeout SECS] [--explain] [--metrics-addr HOST:PORT]\n             [--flight-dir DIR] [--log-level LVL] [--log-json]\n             [--kernel-threads N] [--trace-store N]\n  nqpv client ADDR submit [--priority N] [--trace-out DIR] PATH…\n                                                 submit + stream verdicts\n  nqpv client ADDR watch                         stream every job event\n  nqpv client ADDR stats|ping|profile\n  nqpv client ADDR shutdown [--drain]\n  nqpv ops\n\n  --infer        attempt wlp-fixpoint invariant inference for\n                 while loops lacking an inv: annotation\n  --jobs N       worker threads (default: available cores)\n  --kernel-threads N\n                 data-parallel threads *inside* each job's linalg\n                 kernels (default: 1, or NQPV_KERNEL_THREADS); results\n                 are bitwise identical for every value\n  --json         print the report as JSON instead of a summary\n  --no-cache     disable the shared wp memo cache\n  --cache-cap N  bound each cache tier to N entries (LRU eviction;\n                 eviction counts appear in the report)\n  --cache-dir D  persist solver verdicts under D (survives restarts,\n                 shared between batch runs and the daemon)\n  --cache-max-bytes N\n                 size budget for the verdict store under --cache-dir:\n                 oldest records are evicted to stay under N bytes\n  --explain      extract a counterexample (witness state, scheduler\n                 trace, expectation trajectory) for every rejected proof\n  --trace DIR    write one Chrome trace-event JSON per job under DIR\n                 (open in chrome://tracing or Perfetto)\n  --trace-out DIR\n                 (client submit) mint a wire trace id, propagate it to\n                 the daemon, and write one *stitched* Chrome trace per\n                 job under DIR combining the client's submit/wait spans\n                 with the daemon's queue/worker spans\n  --flight-dir DIR\n                 write flight-recorder snapshots (recent span/log\n                 events as JSON) under DIR on panics, timeouts and\n                 error verdicts — and on 'dump_flight' requests\n  --log-level LVL\n                 daemon stderr log threshold: error|warn|info|debug\n                 (default info)\n  --log-json     emit daemon logs as JSON lines instead of plain text\n  --job-timeout SECS\n                 per-job verification deadline: a job still unverified\n                 after SECS is stopped cooperatively and reported with\n                 a 'timeout' verdict\n  --max-queue N  refuse submissions once N jobs are queued (daemon\n                 backpressure; structured 'overloaded' reply)\n  --max-per-client N\n                 bound one connection's queued+running jobs to N\n                 (client-scoped 'overloaded' reply)\n  --drain-timeout SECS\n                 bound on 'shutdown --drain' backlog completion\n                 (default 30)\n  --metrics-addr HOST:PORT\n                 serve Prometheus text metrics at http://HOST:PORT/metrics\n                 (plus /healthz readiness)\n  --trace-store N\n                 finished-trace FIFO capacity for wire-trace stitching\n                 (default 256; evictions are counted)\n  --profile-out FILE\n                 write a collapsed-stack self-time profile (folded\n                 flamegraph text: 'stack;frames count-in-us' lines)\n  --priority N   scheduling priority for submitted jobs (higher first)\n  --drain        (client shutdown) finish the whole backlog before the\n                 daemon stops, instead of dropping queued jobs\n\nenvironment:\n  NQPV_FAULTS=<seed>:<site>[*<cap>],…\n                 arm the deterministic fault-injection harness (sites:\n                 worker_panic, solver_delay, disk_read, disk_write,\n                 conn_drop); inert when unset\n  NQPV_KERNEL_THREADS=N\n                 default kernel thread count when --kernel-threads\n                 is not given"
+        "usage:\n  nqpv verify [--infer] FILE.nqpv\n  nqpv explain [--infer] [--json] [--trace DIR] [--profile-out FILE]\n              [--kernel-threads N] FILE.nqpv\n  nqpv show [--infer] FILE.nqpv NAME\n  nqpv check FILE.nqpv\n  nqpv batch [--infer] [--jobs N] [--json] [--no-cache] [--cache-cap N]\n             [--cache-dir DIR] [--cache-max-bytes N] [--explain]\n             [--trace DIR] [--job-timeout SECS]\n             [--kernel-threads N] [--profile-out FILE] DIR|MANIFEST\n  nqpv serve --addr HOST:PORT [--infer] [--jobs N] [--no-cache]\n             [--cache-cap N] [--cache-dir DIR] [--cache-max-bytes N]\n             [--max-queue N] [--max-per-client N] [--job-timeout SECS]\n             [--drain-timeout SECS] [--explain] [--metrics-addr HOST:PORT]\n             [--log-level LVL] [--log-json]\n             [--kernel-threads N] [--trace-store N]\n  nqpv client ADDR submit [--priority N] [--trace-out DIR] PATH…\n                                                 submit + stream verdicts\n  nqpv client ADDR watch                         stream every job event\n  nqpv client ADDR stats|ping|profile\n  nqpv client ADDR shutdown [--drain]\n  nqpv ops\n\n  --infer        attempt wlp-fixpoint invariant inference for\n                 while loops lacking an inv: annotation\n  --jobs N       worker threads (default: available cores)\n  --kernel-threads N\n                 data-parallel threads *inside* each job's linalg\n                 kernels (default: 1, or NQPV_KERNEL_THREADS); results\n                 are bitwise identical for every value\n  --json         print the report as JSON instead of a summary\n  --no-cache     disable the shared wp memo cache\n  --cache-cap N  bound each cache tier to N entries (LRU eviction;\n                 eviction counts appear in the report)\n  --cache-dir D  persist solver verdicts under D (survives restarts,\n                 shared between batch runs and the daemon)\n  --cache-max-bytes N\n                 size budget for the verdict store under --cache-dir:\n                 oldest records are evicted to stay under N bytes\n  --explain      extract a counterexample (witness state, scheduler\n                 trace, expectation trajectory) for every rejected proof\n  --trace DIR    write one Chrome trace-event JSON per job under DIR\n                 (open in chrome://tracing or Perfetto)\n  --trace-out DIR\n                 (client submit) mint a wire trace id, propagate it to\n                 the daemon, and write one *stitched* Chrome trace per\n                 job under DIR combining the client's submit/wait spans\n                 with the daemon's queue/worker spans\n  --log-level LVL\n                 daemon stderr log threshold: error|warn|info|debug\n                 (default info)\n  --log-json     emit daemon logs as JSON lines instead of plain text\n  --job-timeout SECS\n                 per-job verification deadline: a job still unverified\n                 after SECS is stopped cooperatively and reported with\n                 a 'timeout' verdict\n  --max-queue N  refuse submissions once N jobs are queued (daemon\n                 backpressure; structured 'overloaded' reply)\n  --max-per-client N\n                 bound one connection's queued+running jobs to N\n                 (client-scoped 'overloaded' reply)\n  --drain-timeout SECS\n                 bound on 'shutdown --drain' backlog completion\n                 (default 30)\n  --metrics-addr HOST:PORT\n                 serve Prometheus text metrics at http://HOST:PORT/metrics\n                 (plus /healthz readiness)\n  --trace-store N\n                 finished-trace FIFO capacity for wire-trace stitching\n                 (default 256; evictions are counted)\n  --profile-out FILE\n                 write a collapsed-stack self-time profile (folded\n                 flamegraph text: 'stack;frames count-in-us' lines)\n  --priority N   scheduling priority for submitted jobs (higher first)\n  --drain        (client shutdown) finish the whole backlog before the\n                 daemon stops, instead of dropping queued jobs\n\nenvironment:\n  NQPV_FAULTS=<seed>:<site>[*<cap>],…\n                 arm the deterministic fault-injection harness (sites:\n                 worker_panic, solver_delay, disk_read, disk_write,\n                 conn_drop); inert when unset\n  NQPV_KERNEL_THREADS=N\n                 default kernel thread count when --kernel-threads\n                 is not given"
     );
     ExitCode::from(2)
 }
@@ -302,7 +302,6 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
     let mut cache_max_bytes: Option<u64> = None;
     let mut job_timeout: Option<Duration> = None;
     let mut trace_dir: Option<&str> = None;
-    let mut flight_dir: Option<&str> = None;
     let mut profile_out: Option<&str> = None;
     let mut target: Option<&str> = None;
     let mut it = rest.iter();
@@ -342,13 +341,6 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
                 };
                 trace_dir = Some(dir);
             }
-            "--flight-dir" => {
-                let Some(dir) = it.next() else {
-                    eprintln!("error: --flight-dir expects a directory");
-                    return ExitCode::from(2);
-                };
-                flight_dir = Some(dir);
-            }
             "--profile-out" => {
                 let Some(file) = it.next() else {
                     eprintln!("error: --profile-out expects a file path");
@@ -376,7 +368,7 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
         return usage();
     };
     // Batch runs log to stderr at the daemon's default threshold so
-    // worker panics and flight dumps are visible without a flag.
+    // worker panics are visible without a flag.
     nqpv_telemetry::log::init(nqpv_telemetry::log::Level::Info, false);
     let disk = match cache_dir {
         Some(dir) if use_cache => match DiskCache::open_with_budget(dir, cache_max_bytes) {
@@ -401,12 +393,10 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    for (dir, what) in [(trace_dir, "trace"), (flight_dir, "flight")] {
-        if let Some(dir) = dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("error: cannot create {what} directory '{dir}': {e}");
-                return ExitCode::from(2);
-            }
+    if let Some(dir) = trace_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("error: cannot create trace directory '{dir}': {e}");
+            return ExitCode::from(2);
         }
     }
     // The profile collector rides the same record_job seam as the metrics
@@ -424,7 +414,6 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
             disk,
             explain,
             trace_dir: trace_dir.map(std::path::PathBuf::from),
-            flight_dir: flight_dir.map(std::path::PathBuf::from),
             job_timeout,
             vc: VcOptions {
                 infer_invariants: infer,
@@ -510,13 +499,6 @@ fn cmd_serve(rest: &[String], infer: bool) -> ExitCode {
             },
             "--no-cache" => opts.use_cache = false,
             "--explain" => opts.explain = true,
-            "--flight-dir" => {
-                let Some(dir) = it.next() else {
-                    eprintln!("error: --flight-dir expects a directory");
-                    return ExitCode::from(2);
-                };
-                opts.flight_dir = Some(dir.into());
-            }
             "--log-level" => match it.next().and_then(|v| nqpv_telemetry::log::Level::parse(v)) {
                 Some(level) => opts.log_level = level,
                 None => {

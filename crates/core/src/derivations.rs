@@ -1,6 +1,6 @@
 //! The paper's Sec. 5 proofs replayed as explicit Fig. 3 derivations.
 //!
-//! [`crate::verifier`] *computes* weakest preconditions; this module
+//! [`crate::verify_proof_term`] *computes* weakest preconditions; this module
 //! instead builds the exact proof trees the paper writes out by hand —
 //! (Init), (Unit), (NDet) with (Imp)-weakened branches, nested (Meas),
 //! and (While) — and pushes them through the rule checker

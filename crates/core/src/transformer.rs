@@ -53,7 +53,7 @@ pub struct VcOptions {
     /// footprint), plus cache-tier lookup spans, into it. Set it with
     /// [`VcOptions::with_tracer`] so the solver's copy
     /// ([`LownerOptions::tracer`]) stays in sync. Inert by default;
-    /// deliberately **excluded** from [`context_key`] — which job traced
+    /// deliberately **excluded** from `context_key` — which job traced
     /// a subterm must never partition the memo caches.
     pub tracer: Tracer,
     /// Cooperative job deadline, checked at every statement entry of the
@@ -62,7 +62,7 @@ pub struct VcOptions {
     /// on [`LownerOptions::deadline`]. Set it with
     /// [`VcOptions::with_deadline`] so the two copies stay in sync.
     /// Never expires by default; like the tracer, it renders a constant
-    /// `Debug` and is excluded from [`context_key`] — a job's wall-clock
+    /// `Debug` and is excluded from `context_key` — a job's wall-clock
     /// budget must never partition the memo caches.
     pub deadline: Deadline,
 }

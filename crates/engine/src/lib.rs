@@ -40,7 +40,6 @@
 
 mod cache;
 mod corpus;
-pub mod cost;
 mod disk;
 pub mod faults;
 mod pool;

@@ -16,9 +16,7 @@ use crate::corpus::{Corpus, Job};
 use crate::report::{BatchReport, JobReport, JobStatus, ProofReport};
 use nqpv_core::{Session, VcOptions};
 use nqpv_linalg::par;
-use nqpv_telemetry::{
-    flight, log as tlog, wall_clock_us, ArgValue, Deadline, Phase, Tracer, COST_RATIO_BOUNDS,
-};
+use nqpv_telemetry::{log as tlog, wall_clock_us, ArgValue, Deadline, Phase, Tracer};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,11 +59,6 @@ pub struct BatchOptions {
     /// statement and solver-obligation boundaries and surfaces as
     /// [`JobStatus::Timeout`] — the worker and its cache survive.
     pub job_timeout: Option<Duration>,
-    /// Snapshot the in-process flight recorder
-    /// ([`nqpv_telemetry::flight`]) into this directory whenever a job
-    /// panics, times out or errors (`nqpv batch --flight-dir DIR`): the
-    /// last-moments event log of a failing run, written post-mortem.
-    pub flight_dir: Option<PathBuf>,
 }
 
 impl Default for BatchOptions {
@@ -80,7 +73,6 @@ impl Default for BatchOptions {
             explain: false,
             trace_dir: None,
             job_timeout: None,
-            flight_dir: None,
         }
     }
 }
@@ -173,7 +165,6 @@ pub fn run_pool(
     explain: bool,
     trace_dir: Option<&Path>,
     job_timeout: Option<Duration>,
-    flight_dir: Option<&Path>,
 ) {
     let workers = workers.max(1);
     std::thread::scope(|scope| {
@@ -186,11 +177,7 @@ pub fn run_pool(
                         "pool",
                         sourced.job.trace.trace_id,
                         "job picked up",
-                        &[
-                            ("job", &sourced.job.name),
-                            ("worker", &w.to_string()),
-                            ("cost", &sourced.job.cost.to_string()),
-                        ],
+                        &[("job", &sourced.job.name), ("worker", &w.to_string())],
                     );
                     let report = run_job_isolated(
                         &sourced.job,
@@ -200,7 +187,6 @@ pub fn run_pool(
                         explain,
                         trace_dir,
                         job_timeout,
-                        flight_dir,
                         sourced.queued_wall_us,
                     );
                     observer.job_finished(sourced.seq, &report);
@@ -234,11 +220,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// linalg sweeps — so one giant gate application cannot outlive its
 /// budget. A [`par::KernelTimeout`] unwind is a timeout, not a fault: it
 /// maps straight to [`JobStatus::Timeout`] with no retry.
-///
-/// With `flight_dir`, a panic, timeout or error verdict additionally
-/// snapshots the process-wide flight recorder into that directory — a
-/// post-mortem of the run's last moments, cross-referenced to the job's
-/// wire trace id when one is active.
 #[allow(clippy::too_many_arguments)]
 pub fn run_job_isolated(
     job: &Job,
@@ -248,7 +229,6 @@ pub fn run_job_isolated(
     explain: bool,
     trace_dir: Option<&Path>,
     job_timeout: Option<Duration>,
-    flight_dir: Option<&Path>,
     queued_wall_us: u64,
 ) -> JobReport {
     let t0 = Instant::now();
@@ -274,14 +254,7 @@ pub fn run_job_isolated(
             }))
         });
         match outcome {
-            Ok(report) => {
-                match &report.status {
-                    JobStatus::Timeout { .. } => flight_dump(flight_dir, "timeout", job),
-                    JobStatus::Error { .. } => flight_dump(flight_dir, "error", job),
-                    _ => {}
-                }
-                return report;
-            }
+            Ok(report) => return report,
             Err(payload) if payload.is::<par::KernelTimeout>() => {
                 nqpv_telemetry::global()
                     .counter(
@@ -301,7 +274,6 @@ pub fn run_job_isolated(
                     &[("job", &job.name), ("worker", &worker.to_string())],
                 );
                 nqpv_telemetry::record_job(status.label(), secs, &Default::default());
-                flight_dump(flight_dir, "timeout", job);
                 return JobReport {
                     name: job.name.clone(),
                     path: job.path.as_ref().map(|p| p.display().to_string()),
@@ -311,7 +283,6 @@ pub fn run_job_isolated(
                     worker,
                     counterexamples: Vec::new(),
                     phases: Default::default(),
-                    predicted_cost: job.cost,
                     trace_json: None,
                 };
             }
@@ -335,7 +306,6 @@ pub fn run_job_isolated(
                         ("panic", &last_panic),
                     ],
                 );
-                flight_dump(flight_dir, "panic", job);
             }
         }
     }
@@ -350,7 +320,6 @@ pub fn run_job_isolated(
         &[("job", &job.name), ("panic", &last_panic)],
     );
     nqpv_telemetry::record_job(status.label(), secs, &Default::default());
-    flight_dump(flight_dir, "panic", job);
     JobReport {
         name: job.name.clone(),
         path: job.path.as_ref().map(|p| p.display().to_string()),
@@ -360,21 +329,8 @@ pub fn run_job_isolated(
         worker,
         counterexamples: Vec::new(),
         phases: Default::default(),
-        predicted_cost: job.cost,
         trace_json: None,
     }
-}
-
-/// Best-effort flight-recorder snapshot: a dump failure must never fail
-/// the job (post-mortems are evidence, not control flow).
-fn flight_dump(flight_dir: Option<&Path>, reason: &str, job: &Job) {
-    let Some(dir) = flight_dir else { return };
-    let hex = if job.trace.active() {
-        job.trace.to_hex()
-    } else {
-        String::new()
-    };
-    let _ = flight::dump_to(dir, reason, &job.name, &hex);
 }
 
 /// A drained-once job source over a fixed corpus with **verdict-cache
@@ -493,7 +449,6 @@ pub fn run_batch(corpus: &Corpus, options: &BatchOptions) -> BatchReport {
             options.explain,
             options.trace_dir.as_deref(),
             options.job_timeout,
-            options.flight_dir.as_deref(),
         );
         slots = collector
             .slots
@@ -600,7 +555,6 @@ fn job_attempt(
         vec![
             ("bin", ArgValue::Str(format!("{:x}", job.bin))),
             ("worker", ArgValue::U64(worker as u64)),
-            ("cost", ArgValue::U64(job.cost)),
         ],
     );
     if vc.deadline.armed() {
@@ -688,19 +642,6 @@ fn job_attempt(
         let _ = std::fs::write(path, data.chrome_json(&job.name));
     }
     nqpv_telemetry::record_job(status.label(), secs, &data);
-    // Predicted-vs-actual cost accounting: how many times longer (or
-    // shorter) the job ran than its static estimate said it would.
-    let predicted_secs = job.cost as f64 * crate::cost::UNIT_SECONDS;
-    if predicted_secs > 0.0 {
-        nqpv_telemetry::global()
-            .histogram(
-                "nqpv_cost_prediction_ratio",
-                "Actual job seconds divided by statically predicted seconds.",
-                &[],
-                &COST_RATIO_BOUNDS,
-            )
-            .observe(secs / predicted_secs);
-    }
     tlog::debug(
         "pool",
         job.trace.trace_id,
@@ -709,7 +650,6 @@ fn job_attempt(
             ("job", &job.name),
             ("status", status.label()),
             ("ms", &format!("{:.3}", secs * 1e3)),
-            ("predicted_cost", &job.cost.to_string()),
         ],
     );
     // The daemon's half of a cross-process trace: bare wall-clock events
@@ -727,7 +667,6 @@ fn job_attempt(
         worker,
         counterexamples,
         phases: data.phases,
-        predicted_cost: job.cost,
         trace_json,
     }
 }
@@ -1023,7 +962,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_traced_jobs_return_their_daemon_half_and_failures_dump_flight() {
+    fn wire_traced_jobs_return_their_daemon_half() {
         use nqpv_telemetry::TraceContext;
 
         let ctx = TraceContext::mint();
@@ -1031,7 +970,6 @@ mod tests {
         let job = single.jobs()[0].clone().with_trace(ctx);
         let report = run_job_traced(&job, VcOptions::default(), None, 0, false, None);
         assert!(matches!(report.status, JobStatus::Verified { .. }));
-        assert!(report.predicted_cost >= 1);
         // An active wire context forces full recording even without a
         // trace dir; the daemon's half comes back as a bare event array.
         let events = report.trace_json.expect("active trace records events");
@@ -1049,34 +987,6 @@ mod tests {
             None,
         );
         assert!(plain.trace_json.is_none());
-
-        // An error verdict with a flight dir leaves a parseable dump
-        // naming the job's trace id.
-        let dir = std::env::temp_dir().join("nqpv_engine_flight_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let broken = Corpus::from_sources(vec![("broken", BROKEN)]);
-        let bjob = broken.jobs()[0].clone().with_trace(ctx);
-        let report = run_job_isolated(
-            &bjob,
-            VcOptions::default(),
-            None,
-            0,
-            false,
-            None,
-            None,
-            Some(&dir),
-            0,
-        );
-        assert!(matches!(report.status, JobStatus::Error { .. }));
-        let entries: Vec<_> = std::fs::read_dir(&dir)
-            .expect("flight dir created")
-            .filter_map(Result::ok)
-            .collect();
-        assert_eq!(entries.len(), 1, "exactly one dump for one error");
-        let text = std::fs::read_to_string(entries[0].path()).unwrap();
-        assert!(text.contains("\"reason\":\"error\""), "{text}");
-        assert!(text.contains(&ctx.to_hex()), "{text}");
-        assert!(text.contains("\"events\":["), "{text}");
     }
 
     #[test]

@@ -78,9 +78,6 @@ pub struct JobReport {
     /// Per-phase span counts and latency totals collected by the job's
     /// tracer (parse / wp / solver / cache / …).
     pub phases: PhaseTotals,
-    /// Static cost prediction ([`crate::cost`] units) recorded at
-    /// admission; compare against `ms` for the predicted-vs-actual seam.
-    pub predicted_cost: u64,
     /// Worker-side Chrome trace events (a bare JSON array, wall-clock
     /// timestamps) when the job carried an active wire trace context —
     /// the daemon's half of a client-stitched trace. Not rendered into
@@ -194,7 +191,6 @@ impl BatchReport {
             }
             let _ = write!(out, ", \"status\": \"{}\"", job.status.label());
             let _ = write!(out, ", \"ms\": {:.3}", job.ms);
-            let _ = write!(out, ", \"predicted_cost\": {}", job.predicted_cost);
             let _ = write!(out, ", \"bin\": \"{:016x}\"", job.bin);
             let _ = write!(out, ", \"worker\": {}", job.worker);
             match &job.status {
@@ -402,7 +398,6 @@ mod tests {
                         p.add(Phase::Solver, 250);
                         p
                     },
-                    predicted_cost: 1200,
                     trace_json: None,
                 },
                 JobReport {
@@ -416,7 +411,6 @@ mod tests {
                     worker: 1,
                     counterexamples: Vec::new(),
                     phases: PhaseTotals::default(),
-                    predicted_cost: 4,
                     trace_json: None,
                 },
             ],
@@ -462,9 +456,8 @@ mod tests {
         assert!(json.contains("\"disk_writes\": 2"), "{json}");
         assert!(json.contains("\"disk_entries\": 2"), "{json}");
         assert!(json.contains("\"disk_bytes\": 4096"), "{json}");
-        // Per-job wall time, cost prediction and phase breakdown ride along.
+        // Per-job wall time and phase breakdown ride along.
         assert!(json.contains("\"ms\": 1.250"), "{json}");
-        assert!(json.contains("\"predicted_cost\": 1200"), "{json}");
         assert!(
             json.contains("\"phases\": {\"wp\": {\"spans\": 1, \"ms\": 1.500}, \"solver\": {\"spans\": 1, \"ms\": 0.250}}"),
             "{json}"
@@ -522,7 +515,6 @@ mod tests {
             worker: 0,
             counterexamples: Vec::new(),
             phases: PhaseTotals::default(),
-            predicted_cost: 9,
             trace_json: None,
         });
         assert_eq!(report.timed_out_jobs(), 1);

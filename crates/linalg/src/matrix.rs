@@ -470,7 +470,7 @@ impl CMat {
     /// Matrix product `A·B`, cache-blocked over the inner (`k`)
     /// dimension and row-parallel across the kernel backend.
     ///
-    /// The i-k-j loop is tiled so a [`MUL_BLOCK_K`]-row block of `rhs`
+    /// The i-k-j loop is tiled so a `MUL_BLOCK_K`-row block of `rhs`
     /// stays cache-resident while every output row streams over it —
     /// `rhs` traffic drops from `rows·cols·16B` per output row to one
     /// pass per block. Each output element still accumulates its `k`

@@ -18,6 +18,11 @@ pub enum RegisterError {
     Empty,
     /// A qubit tuple used in a statement mentioned the same qubit twice.
     DuplicateInTuple(String),
+    /// The register's dimension `2^qubits` does not fit in a `usize`.
+    TooWide {
+        /// Number of qubits declared.
+        qubits: usize,
+    },
 }
 
 impl fmt::Display for RegisterError {
@@ -29,6 +34,12 @@ impl fmt::Display for RegisterError {
             RegisterError::DuplicateInTuple(n) => {
                 write!(f, "qubit '{n}' repeated in a qubit tuple")
             }
+            RegisterError::TooWide { qubits } => write!(
+                f,
+                "register of {qubits} qubits is too wide: its dimension 2^{qubits} \
+                 does not fit in {} bits",
+                usize::BITS
+            ),
         }
     }
 }
@@ -58,11 +69,17 @@ impl Register {
     ///
     /// # Errors
     ///
-    /// Returns [`RegisterError::Empty`] for an empty list and
-    /// [`RegisterError::DuplicateName`] on repeats.
+    /// Returns [`RegisterError::Empty`] for an empty list,
+    /// [`RegisterError::DuplicateName`] on repeats and
+    /// [`RegisterError::TooWide`] when `2^n` does not fit in a `usize`.
     pub fn new<S: AsRef<str>>(names: &[S]) -> Result<Self, RegisterError> {
         if names.is_empty() {
             return Err(RegisterError::Empty);
+        }
+        if names.len() >= usize::BITS as usize {
+            return Err(RegisterError::TooWide {
+                qubits: names.len(),
+            });
         }
         let mut out: Vec<String> = Vec::with_capacity(names.len());
         for n in names {
@@ -125,17 +142,14 @@ impl Register {
     /// (insertion order, duplicates collapsed). Handy for assembling the
     /// register of `qv(S)` from a parsed program.
     pub fn spanning<S: AsRef<str>>(names: &[S]) -> Result<Self, RegisterError> {
-        if names.is_empty() {
-            return Err(RegisterError::Empty);
-        }
-        let mut out: Vec<String> = Vec::new();
+        let mut out: Vec<&str> = Vec::new();
         for n in names {
             let n = n.as_ref();
-            if !out.iter().any(|m| m == n) {
-                out.push(n.to_string());
+            if !out.contains(&n) {
+                out.push(n);
             }
         }
-        Ok(Register { names: out })
+        Register::new(&out)
     }
 }
 
@@ -169,6 +183,26 @@ mod tests {
             Register::new::<&str>(&[]).unwrap_err(),
             RegisterError::Empty
         );
+    }
+
+    #[test]
+    fn rejects_registers_whose_dimension_overflows() {
+        // `1usize << usize::BITS` wraps in release builds, so distinct
+        // qubits would alias; the widest accepted register is one qubit
+        // short of the word.
+        let names: Vec<String> = (0..usize::BITS).map(|i| format!("q{i}")).collect();
+        assert_eq!(
+            Register::new(&names).unwrap_err(),
+            RegisterError::TooWide {
+                qubits: usize::BITS as usize
+            }
+        );
+        let err = Register::new(&[&names[..], &["extra".to_string()]].concat()).unwrap_err();
+        let width = format!("{} qubits", usize::BITS + 1);
+        assert!(err.to_string().contains(&width), "{err}");
+        let widest = Register::new(&names[1..]).unwrap();
+        assert_eq!(widest.n_qubits(), usize::BITS as usize - 1);
+        assert_eq!(widest.dim(), 1usize << (usize::BITS - 1));
     }
 
     #[test]

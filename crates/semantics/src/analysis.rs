@@ -1,7 +1,7 @@
 //! Termination analysis of nondeterministic quantum programs.
 //!
 //! The paper's verification generalises the termination analyses of
-//! Li–Yu–Ying [12] and Li–Ying [11]; this module recovers those analyses
+//! Li–Yu–Ying \[12\] and Li–Ying \[11\]; this module recovers those analyses
 //! numerically. For a program `S` and input `ρ`, the *termination
 //! probability under a scheduler* is the trace of the corresponding
 //! output; demonic/angelic termination are the inf/sup over schedulers:
@@ -80,7 +80,7 @@ pub fn termination_bounds(
 }
 
 /// Classification of a program's termination behaviour on an input, in the
-/// terminology of Li–Yu–Ying [12].
+/// terminology of Li–Yu–Ying \[12\].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TerminationClass {
     /// Terminates with probability ~1 under every scheduler at the

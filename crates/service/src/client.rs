@@ -273,7 +273,6 @@ impl Client {
                 | Event::ShuttingDown
                 | Event::Overloaded { .. }
                 | Event::Trace { .. }
-                | Event::FlightDump { .. }
                 | Event::Profile { .. }
                 | Event::Error { .. }) => return Ok(e),
                 job_event => self.buffered.push_back(job_event),
@@ -376,23 +375,6 @@ impl Client {
                 events,
                 ..
             } => Ok((name, trace, events.to_string())),
-            Event::Error { message } => Err(io::Error::other(message)),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected reply {other:?}"),
-            )),
-        }
-    }
-
-    /// Asks the daemon for an on-demand flight-recorder snapshot:
-    /// `(daemon_side_path, dump_json)`.
-    ///
-    /// # Errors
-    ///
-    /// Socket failures and unexpected replies.
-    pub fn dump_flight(&mut self) -> io::Result<(Option<String>, String)> {
-        match self.request(&Request::DumpFlight)? {
-            Event::FlightDump { path, dump } => Ok((path, dump.to_string())),
             Event::Error { message } => Err(io::Error::other(message)),
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,

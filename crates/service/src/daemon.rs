@@ -22,7 +22,7 @@
 //!   `watch` subscribes to everything. Dead subscribers are pruned on
 //!   the next publish.
 //! * The **pool thread** is the unchanged `nqpv-engine` worker pool,
-//!   pulling from the priority queue through the [`JobSource`] seam and
+//!   pulling from the priority queue through the [`JobSource`](nqpv_engine::JobSource) seam and
 //!   reporting through [`PoolObserver`]; the shared [`MemoCache`] may be
 //!   layered over a persistent [`DiskCache`], so verdicts survive
 //!   restarts and are shared with `nqpv batch --cache-dir` runs.
@@ -38,7 +38,7 @@ use nqpv_engine::{
     faults, record_cache_metrics, run_pool, Corpus, DiskCache, Job, JobReport, JobStatus,
     MemoCache, PoolObserver,
 };
-use nqpv_telemetry::{flight, log as tlog, profile, HttpResponse, MetricsServer, TraceContext};
+use nqpv_telemetry::{log as tlog, profile, HttpResponse, MetricsServer, TraceContext};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -104,14 +104,8 @@ pub struct ServeOptions {
     /// and after writes to keep the store under `N` bytes. `None` =
     /// unbounded.
     pub cache_max_bytes: Option<u64>,
-    /// Flight-recorder dump directory (`--flight-dir DIR`): job panics,
-    /// timeouts and error verdicts snapshot the in-process flight
-    /// recorder here, and `dump_flight` requests write here too. `None`
-    /// keeps the recorder in memory only (on-demand dumps still answer
-    /// over the wire).
-    pub flight_dir: Option<PathBuf>,
-    /// Structured-log threshold (`--log-level L`); events below it still
-    /// feed the flight recorder but are not written to stderr.
+    /// Structured-log threshold (`--log-level L`); events below it are
+    /// dropped.
     pub log_level: tlog::Level,
     /// Emit stderr logs as JSON lines (`--log-json`) instead of text.
     pub log_json: bool,
@@ -138,7 +132,6 @@ impl Default for ServeOptions {
             drain_timeout: Duration::from_secs(30),
             max_per_client: None,
             cache_max_bytes: None,
-            flight_dir: None,
             log_level: tlog::Level::Info,
             log_json: false,
             trace_store: TRACE_STORE_CAP,
@@ -243,8 +236,6 @@ struct Shared {
     /// Finished traced jobs' daemon-side spans, served to `trace`
     /// requests (bounded — see [`TRACE_STORE_CAP`]).
     traces: Mutex<TraceStore>,
-    /// Where flight dumps land (`--flight-dir`), shared with the pool.
-    flight_dir: Option<PathBuf>,
     /// Set while a `shutdown --drain` works off the backlog: admissions
     /// are refused, everything else keeps serving.
     draining: AtomicBool,
@@ -495,7 +486,6 @@ impl Daemon {
             max_per_client: opts.max_per_client,
             pending_traces: Mutex::new(std::collections::HashMap::new()),
             traces: Mutex::new(TraceStore::new(opts.trace_store)),
-            flight_dir: opts.flight_dir.clone(),
             draining: AtomicBool::new(false),
             drain_timeout: opts.drain_timeout,
             shutdown: AtomicBool::new(false),
@@ -552,7 +542,6 @@ impl Daemon {
                     explain,
                     None,
                     job_timeout,
-                    shared.flight_dir.as_deref(),
                 );
             })
         };
@@ -916,16 +905,6 @@ fn handle_request(req: Request, sub: &Arc<Subscriber>, shared: &Arc<Shared>) -> 
                 collapsed: prof.render(),
             }
         }
-        Request::DumpFlight => {
-            let path = shared.flight_dir.as_deref().and_then(|dir| {
-                flight::dump_to(dir, "request", "daemon", "")
-                    .ok()
-                    .map(|p| p.display().to_string())
-            });
-            let dump =
-                Json::parse(&flight::render_dump("request", "daemon", "")).unwrap_or(Json::Null);
-            Event::FlightDump { path, dump }
-        }
     }
 }
 
@@ -1019,8 +998,6 @@ fn submit_jobs(
     for (id, job) in ids.into_iter().zip(jobs) {
         let name = job.name.clone();
         let bin = job.bin;
-        // Cost-at-admission: the static prediction that `verdict` events
-        // later pair with actual wall time.
         tlog::debug(
             "daemon",
             job.trace.trace_id,
@@ -1029,7 +1006,6 @@ fn submit_jobs(
                 ("id", &id.to_string()),
                 ("job", &name),
                 ("priority", &priority.to_string()),
-                ("predicted_cost", &job.cost.to_string()),
             ],
         );
         // Reserve → subscribe → announce → publish: the job only becomes

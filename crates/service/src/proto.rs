@@ -67,10 +67,6 @@ pub enum Request {
         /// The job id from the `accepted` reply.
         id: u64,
     },
-    /// Snapshot the daemon's flight recorder on demand. Answered with
-    /// [`Event::FlightDump`]; when the daemon runs with `--flight-dir`
-    /// the dump is also written there.
-    DumpFlight,
     /// Fetch the daemon's aggregate self-time profile (collapsed-stack
     /// text over every job since startup). Answered with
     /// [`Event::Profile`].
@@ -144,7 +140,6 @@ impl Request {
                 obj(members)
             }
             Request::Trace { id } => obj(vec![("cmd", s("trace")), ("id", n(*id as f64))]),
-            Request::DumpFlight => obj(vec![("cmd", s("dump_flight"))]),
             Request::Profile => obj(vec![("cmd", s("profile"))]),
             Request::Watch => obj(vec![("cmd", s("watch"))]),
             Request::Stats => obj(vec![("cmd", s("stats"))]),
@@ -208,7 +203,6 @@ impl Request {
                     .and_then(Json::as_u64)
                     .ok_or_else(|| "'trace' requires numeric field 'id'".to_string())?,
             }),
-            "dump_flight" => Ok(Request::DumpFlight),
             "profile" => Ok(Request::Profile),
             "watch" => Ok(Request::Watch),
             "stats" => Ok(Request::Stats),
@@ -278,11 +272,6 @@ pub struct VerdictEvent {
     /// only when the daemon runs with `--explain`. Old clients ignore
     /// the extra member — the protocol is versioned by field presence.
     pub counterexamples: Vec<Json>,
-    /// Static cost prediction recorded at admission
-    /// ([`nqpv_engine::Job::cost`] units); compare against `ms` for
-    /// predicted-vs-actual accounting.
-    /// Versioned by field presence — old daemons omit it (decodes 0).
-    pub predicted_cost: u64,
     /// The job's wire trace id (hex), present only for traced jobs —
     /// the key for a follow-up [`Request::Trace`] fetch.
     pub trace: Option<String>,
@@ -339,15 +328,6 @@ pub enum Event {
         jobs: u64,
         /// Collapsed-stack text (`frame;frame µs` lines).
         collapsed: String,
-    },
-    /// Reply to [`Request::DumpFlight`]: a snapshot of the daemon's
-    /// flight recorder.
-    FlightDump {
-        /// Where the dump was also written, when the daemon runs with
-        /// `--flight-dir`.
-        path: Option<String>,
-        /// The dump document (reason, drop counters, recent events).
-        dump: Json,
     },
     /// Reply to `stats`.
     Stats {
@@ -418,7 +398,6 @@ impl Event {
                     ("name", s(v.name.clone())),
                     ("status", s(v.status.clone())),
                     ("ms", n(v.ms)),
-                    ("predicted_cost", n(v.predicted_cost as f64)),
                     ("bin", s(v.bin.clone())),
                     ("worker", n(v.worker as f64)),
                 ];
@@ -521,14 +500,6 @@ impl Event {
                 ("collapsed", s(collapsed.clone())),
             ])
             .to_string(),
-            Event::FlightDump { path, dump } => {
-                let mut members = vec![("event", s("flight_dump"))];
-                if let Some(p) = path {
-                    members.push(("path", s(p.clone())));
-                }
-                members.push(("dump", dump.clone()));
-                obj(members).to_string()
-            }
             Event::Watching => obj(vec![("event", s("watching"))]).to_string(),
             Event::Pong => obj(vec![("event", s("pong"))]).to_string(),
             Event::ShuttingDown => obj(vec![("event", s("shutting_down"))]).to_string(),
@@ -631,7 +602,6 @@ impl Event {
                         .and_then(Json::as_arr)
                         .map(<[Json]>::to_vec)
                         .unwrap_or_default(),
-                    predicted_cost: v.get("predicted_cost").and_then(Json::as_u64).unwrap_or(0),
                     trace: v.get("trace").and_then(Json::as_str).map(str::to_string),
                 }))
             }
@@ -652,10 +622,6 @@ impl Event {
                     .and_then(Json::as_str)
                     .unwrap_or_default()
                     .to_string(),
-            }),
-            "flight_dump" => Ok(Event::FlightDump {
-                path: v.get("path").and_then(Json::as_str).map(str::to_string),
-                dump: v.get("dump").cloned().unwrap_or(Json::Null),
             }),
             "stats" => {
                 let q = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
@@ -766,7 +732,6 @@ pub fn verdict_event(id: u64, report: &JobReport, trace: Option<String>) -> Even
             .iter()
             .filter_map(|c| Json::parse(&c.to_json()).ok())
             .collect(),
-        predicted_cost: report.predicted_cost,
         trace,
     })
 }
@@ -801,7 +766,6 @@ mod tests {
                 trace: Some("123abc".into()),
             },
             Request::Trace { id: 7 },
-            Request::DumpFlight,
             Request::Profile,
             Request::Watch,
             Request::Stats,
@@ -842,7 +806,6 @@ mod tests {
                 worker: 2,
                 proofs: vec![("pf".into(), false)],
                 error: None,
-                predicted_cost: 42,
                 trace: Some("00ff00ff00ff00ff".into()),
                 counterexamples: vec![obj(vec![
                     ("proof", s("pf")),
@@ -860,7 +823,6 @@ mod tests {
                 proofs: vec![],
                 error: Some("line 1: parse error \"x\"".into()),
                 counterexamples: vec![],
-                predicted_cost: 1,
                 trace: None,
             }),
             Event::Verdict(VerdictEvent {
@@ -873,7 +835,6 @@ mod tests {
                 proofs: vec![],
                 error: Some("verification deadline exceeded (at while M01[q] …)".into()),
                 counterexamples: vec![],
-                predicted_cost: 980,
                 trace: None,
             }),
             Event::Overloaded {
@@ -918,14 +879,6 @@ mod tests {
                     ("ph", s("X")),
                     ("ts", n(12.0)),
                 ])]),
-            },
-            Event::FlightDump {
-                path: Some("/tmp/flight/flight-panic-pf-12.json".into()),
-                dump: obj(vec![("reason", s("panic")), ("recorded", n(12.0))]),
-            },
-            Event::FlightDump {
-                path: None,
-                dump: Json::Null,
             },
             Event::Profile {
                 jobs: 9,

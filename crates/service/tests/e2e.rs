@@ -252,6 +252,18 @@ fn protocol_errors_keep_the_connection_usable() {
         .unwrap();
     assert!(matches!(reply, Event::Error { .. }), "{reply:?}");
 
+    // The removed flight-recorder request is an unknown command like any
+    // other, and the connection keeps answering.
+    client.send_raw("{\"cmd\":\"dump_flight\"}").unwrap();
+    let reply = client.next_event().unwrap().unwrap();
+    match &reply {
+        Event::Error { message } => {
+            assert!(message.contains("unknown cmd 'dump_flight'"), "{message}")
+        }
+        other => panic!("expected an error event, got {other:?}"),
+    }
+    assert_eq!(client.request(&Request::Ping).unwrap(), Event::Pong);
+
     // Bad submit path.
     let err = client
         .submit_path("/nonexistent/corpus", 0, true)

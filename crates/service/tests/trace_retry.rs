@@ -1,24 +1,20 @@
-//! Trace-propagation and flight-recorder end-to-end tests, isolated in
-//! their own test binary: the deterministic fault plan is parsed from
+//! Trace propagation through a retried job, end to end, isolated in its
+//! own test binary: the deterministic fault plan is parsed from
 //! `NQPV_FAULTS` once per process, so arming `worker_panic` here must
 //! not leak into the main e2e suite.
 
-use nqpv_service::{Client, Daemon, Json, ServeOptions};
+use nqpv_service::{Client, Daemon, ServeOptions};
 use nqpv_telemetry::TraceContext;
-use std::path::PathBuf;
 
 #[test]
-fn traced_submission_survives_an_injected_panic_and_dumps_flight() {
+fn traced_submission_survives_an_injected_panic() {
     // The first worker_panic call fires; the retry succeeds — the
-    // verdict is still `verified` while the flight recorder keeps the
+    // verdict is still `verified` while the job's trace keeps the
     // evidence of the crash.
     std::env::set_var("NQPV_FAULTS", "42:worker_panic*1");
-    let flight_dir = std::env::temp_dir().join("nqpv_service_e2e_flight");
-    let _ = std::fs::remove_dir_all(&flight_dir);
 
     let daemon = Daemon::start(ServeOptions {
         jobs: 1,
-        flight_dir: Some(flight_dir.clone()),
         ..ServeOptions::default()
     })
     .expect("daemon starts");
@@ -37,7 +33,6 @@ fn traced_submission_survives_an_injected_panic_and_dumps_flight() {
     let verdict = &client.wait_verdicts(&[id]).unwrap()[0];
     assert_eq!(verdict.status, "verified", "{verdict:?}");
     assert_eq!(verdict.trace.as_deref(), Some(hex.as_str()), "{verdict:?}");
-    assert!(verdict.predicted_cost > 0, "{verdict:?}");
 
     // The daemon half of the trace is retrievable by job id, tagged with
     // the client-minted id, and shows the successful attempt ran as a
@@ -48,40 +43,6 @@ fn traced_submission_survives_an_injected_panic_and_dumps_flight() {
     for needle in ["queue_wait", "bin_place", "retry_attempt", "\"cat\":\"wp\""] {
         assert!(events.contains(needle), "missing {needle} in {events}");
     }
-
-    // The caught panic left a parseable flight dump naming the trace id.
-    let dumps: Vec<PathBuf> = std::fs::read_dir(&flight_dir)
-        .expect("flight dir created")
-        .map(|e| e.unwrap().path())
-        .collect();
-    assert_eq!(dumps.len(), 1, "one panic, one dump: {dumps:?}");
-    let dump = std::fs::read_to_string(&dumps[0]).unwrap();
-    let parsed = Json::parse(&dump).expect("dump is valid JSON");
-    assert_eq!(
-        parsed.get("reason").and_then(Json::as_str),
-        Some("panic"),
-        "{dump}"
-    );
-    assert_eq!(
-        parsed.get("trace_id").and_then(Json::as_str),
-        Some(hex.as_str()),
-        "{dump}"
-    );
-    assert!(
-        parsed.get("events").and_then(Json::as_arr).is_some(),
-        "{dump}"
-    );
-
-    // On-demand snapshots work over the wire too, and land in the same
-    // directory.
-    let (path, dump) = client.dump_flight().unwrap();
-    assert!(path.is_some(), "daemon writes the dump under --flight-dir");
-    let on_demand = Json::parse(&dump).expect("on-demand dump is valid JSON");
-    assert_eq!(
-        on_demand.get("reason").and_then(Json::as_str),
-        Some("request"),
-        "{dump}"
-    );
 
     // An untraced job yields no stored trace to fetch.
     let plain = client

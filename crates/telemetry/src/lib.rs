@@ -2,10 +2,9 @@
 //!
 //! Zero-dependency structured tracing and metrics for the NQPV stack.
 //!
-//! The ROADMAP's scheduling- and perf-shaped tentpoles (cluster placement,
-//! cost-model-informed binning, intra-job kernel parallelism) all need to
-//! *see* where time and cache capacity go. This crate is that seam, in two
-//! halves:
+//! Scheduling and performance work (affinity binning, intra-job kernel
+//! parallelism, cache tiers) needs to *see* where time and cache capacity
+//! go. This crate is that seam, in two halves:
 //!
 //! * **Spans** ([`Tracer`] / [`Span`]) — a thread-safe, `Copy` tracer
 //!   handle that rides inside option structs ([`Tracer`] is two `u32`s
@@ -33,7 +32,6 @@
 //! worker thread.
 
 mod deadline;
-pub mod flight;
 mod http;
 pub mod log;
 mod metrics;
@@ -46,7 +44,7 @@ pub use deadline::Deadline;
 pub use http::{HttpResponse, MetricsServer};
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Sample, SampleValue,
-    COST_RATIO_BOUNDS, DEFAULT_LATENCY_BOUNDS,
+    DEFAULT_LATENCY_BOUNDS,
 };
 pub use trace::{
     stitch_chrome_json, wall_clock_us, ArgValue, Phase, PhaseTotals, Span, TraceContext, TraceData,

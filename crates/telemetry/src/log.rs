@@ -1,6 +1,5 @@
 //! Leveled structured logging: JSON lines (or plain text) on stderr,
-//! tagged with wire trace ids, with every emission also feeding the
-//! always-on flight recorder.
+//! tagged with wire trace ids.
 //!
 //! Zero-dependency by design, like the rest of the crate: a global
 //! level + format pair of atomics, free functions instead of macros.
@@ -8,7 +7,6 @@
 //! un-initialised processes default to `info` in plain text, so library
 //! callers can log unconditionally.
 
-use crate::flight;
 use crate::json_string;
 use crate::trace::wall_clock_us;
 use std::io::Write;
@@ -56,8 +54,8 @@ static JSON: AtomicBool = AtomicBool::new(false);
 /// Configures the process-wide sink: emit records at `level` and above,
 /// as JSON lines when `json`. Also routes panics through the logger —
 /// the default hook's free-form multi-line print would tear a
-/// `--log-json` stream, and this way every panic reaches the flight
-/// recorder with its source location.
+/// `--log-json` stream, and this way every panic is one record with its
+/// source location.
 pub fn init(level: Level, json: bool) {
     MAX_LEVEL.store(level as u8, Ordering::Relaxed);
     JSON.store(json, Ordering::Relaxed);
@@ -84,22 +82,11 @@ pub fn enabled(level: Level) -> bool {
     (level as u8) <= MAX_LEVEL.load(Ordering::Relaxed)
 }
 
-/// Emits one record. Always feeds the flight recorder (that is its
-/// job: keeping recent context for postmortems regardless of the
-/// configured verbosity); writes to stderr only when `level` clears the
-/// configured threshold. `trace_id` 0 means "no trace"; `fields` are
-/// extra key/value pairs rendered into the line.
+/// Emits one record to stderr when `level` clears the configured
+/// threshold; a suppressed record is dropped before anything is
+/// formatted. `trace_id` 0 means "no trace"; `fields` are extra
+/// key/value pairs rendered into the line.
 pub fn log(level: Level, target: &'static str, trace_id: u64, msg: &str, fields: &[(&str, &str)]) {
-    let flight_msg = if fields.is_empty() {
-        msg.to_string()
-    } else {
-        let mut m = String::from(msg);
-        for (k, v) in fields {
-            m.push_str(&format!(" {k}={v}"));
-        }
-        m
-    };
-    flight::record(level, target, trace_id, flight_msg);
     if !enabled(level) {
         return;
     }
@@ -165,23 +152,5 @@ mod tests {
         assert_eq!(Level::parse("debug"), Some(Level::Debug));
         assert_eq!(Level::parse("nope"), None);
         assert_eq!(Level::Info.label(), "info");
-    }
-
-    #[test]
-    fn suppressed_levels_still_reach_the_flight_recorder() {
-        init(Level::Error, false);
-        assert!(!enabled(Level::Debug));
-        let before = flight::recorder().recorded();
-        debug("log_test", 0x42, "invisible but recorded", &[("k", "v")]);
-        assert_eq!(flight::recorder().recorded(), before + 1);
-        let snap = flight::snapshot();
-        let ev = snap
-            .iter()
-            .rev()
-            .find(|e| e.target == "log_test")
-            .expect("flight event");
-        assert_eq!(ev.trace_id, 0x42);
-        assert!(ev.message.contains("invisible but recorded k=v"));
-        init(Level::Info, false);
     }
 }

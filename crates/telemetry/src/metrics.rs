@@ -23,14 +23,6 @@ pub const DEFAULT_LATENCY_BOUNDS: [f64; 15] = [
     0.5, 2.5, 10.0,
 ];
 
-/// Bucket bounds for the predicted-vs-actual cost ratio
-/// (`nqpv_cost_prediction_ratio`, actual seconds ÷ predicted units):
-/// log-spaced around 1.0 so both over- and under-prediction tails are
-/// visible.
-pub const COST_RATIO_BOUNDS: [f64; 11] = [
-    0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 100.0,
-];
-
 /// A monotone counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -594,7 +586,6 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.cumulative[1], 0);
         assert_eq!(s.cumulative[2], 1);
-        let _ = Histogram::new(&COST_RATIO_BOUNDS);
     }
 
     #[test]
