@@ -290,8 +290,8 @@ fn positive_arg(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usi
 /// `nqpv batch [--infer] [--jobs N] [--json] [--no-cache] [--cache-cap N]
 /// [--cache-dir DIR] DIR|MANIFEST` — load a corpus (directory
 /// of `.nqpv` files, or a manifest listing them) and verify it on a
-/// worker pool with a shared (optionally LRU-bounded, optionally
-/// disk-persistent) wp memo cache and verdict-affinity scheduling.
+/// worker pool, in corpus order, with a shared (optionally LRU-bounded,
+/// optionally disk-persistent) wp memo cache.
 fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
     let mut jobs: usize = 0;
     let mut json = false;
@@ -419,7 +419,6 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
                 infer_invariants: infer,
                 ..VcOptions::default()
             },
-            ..BatchOptions::default()
         },
     );
     if let Some(file) = profile_out {

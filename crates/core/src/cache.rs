@@ -123,9 +123,7 @@ pub const VERDICT_RECORD_MAGIC: [u8; 4] = *b"NQVD";
 /// Format version of encoded verdict records.
 pub const VERDICT_RECORD_VERSION: u8 = 1;
 
-/// 64-bit FNV-1a — the integrity checksum on encoded verdict records,
-/// shared with the engine's job-affinity signatures so the stack carries
-/// one copy of the constants.
+/// 64-bit FNV-1a — the integrity checksum on encoded verdict records.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

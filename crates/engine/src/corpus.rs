@@ -16,32 +16,24 @@ pub struct Job {
     pub source: String,
     /// Base directory for `.npy` operator loads.
     pub base_dir: PathBuf,
-    /// Verdict-cache affinity bin (see [`affinity_bin`]): jobs sharing a
-    /// bin reference the same assertion/invariant operator set, so the
-    /// scheduler co-locates them on one worker to warm the verdict tier
-    /// before the long tail runs.
-    pub bin: u64,
     /// Wire-propagated trace identity ([`TraceContext::NONE`] for local
     /// runs); worker spans inherit it so client and daemon traces stitch.
     pub trace: TraceContext,
 }
 
 impl Job {
-    /// Builds a job, deriving its [`affinity_bin`] from the source.
+    /// Builds an untraced job.
     pub fn new(
         name: impl Into<String>,
         path: Option<PathBuf>,
         source: impl Into<String>,
         base_dir: PathBuf,
     ) -> Job {
-        let source = source.into();
-        let bin = affinity_bin(&source);
         Job {
             name: name.into(),
             path,
-            source,
+            source: source.into(),
             base_dir,
-            bin,
             trace: TraceContext::NONE,
         }
     }
@@ -51,66 +43,6 @@ impl Job {
         self.trace = trace;
         self
     }
-}
-
-/// The verdict-cache affinity signature of an NQPV source: a hash of the
-/// set of identifiers appearing inside its `{ … }` assertion expressions
-/// (pre/postconditions, cut assertions and `inv:` loop invariants — the
-/// operators that become `⊑_inf`/`⊑_sup` queries). Jobs with equal bins
-/// verify against the same operator vocabulary, so their solver verdicts
-/// overlap heavily; the batch scheduler runs a bin on one worker so the
-/// first member's misses become the rest's warm hits instead of racing
-/// duplicate solver calls on sibling workers (ROADMAP: verdict-cache-aware
-/// scheduling).
-///
-/// Purely lexical by design — no parse, no library resolution — so it is
-/// cheap, total (works on files that later fail to parse), and stable
-/// under formatting changes. Order-insensitive: identifiers are deduped
-/// and hashed as a sorted set.
-pub fn affinity_bin(source: &str) -> u64 {
-    let mut idents: Vec<&str> = Vec::new();
-    let bytes = source.as_bytes();
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match b {
-            b'{' => depth += 1,
-            b'}' => depth = depth.saturating_sub(1),
-            b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                // Line comment: skip to newline so braces in prose don't
-                // perturb the bin.
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-                continue;
-            }
-            _ if depth > 0 && (b.is_ascii_alphabetic() || b == b'_') => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                let word = &source[start..i];
-                // `inv` is assertion syntax, not an operator name.
-                if word != "inv" {
-                    idents.push(word);
-                }
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    idents.sort_unstable();
-    idents.dedup();
-    // FNV-1a over the sorted, deduped identifier set, 0xFF-separated
-    // (0xFF cannot occur inside an ASCII identifier).
-    let mut buf = Vec::with_capacity(idents.iter().map(|w| w.len() + 1).sum());
-    for w in idents {
-        buf.extend_from_slice(w.as_bytes());
-        buf.push(0xFF);
-    }
-    nqpv_core::cache::fnv1a(&buf)
 }
 
 /// Errors while assembling a corpus.
@@ -273,23 +205,6 @@ mod tests {
             Corpus::from_dir(dir.join("missing")),
             Err(CorpusError::Io(_, _))
         ));
-    }
-
-    #[test]
-    fn affinity_bins_track_assertion_operators_only() {
-        // Same assertion vocabulary, different program bodies → same bin.
-        let a = affinity_bin("proof [q] : { I[q] }; [q] *= H; { inv : P0[q] }; { P0[q] }");
-        let b = affinity_bin("proof [q] : { P0[q] }; skip; { I[q] }");
-        assert_eq!(a, b, "order and multiplicity must not matter");
-        // A different invariant operator moves the bin.
-        let c = affinity_bin("proof [q] : { I[q] }; skip; { P1[q] }");
-        assert_ne!(a, c);
-        // Statement-level operators (outside braces) are ignored.
-        let d = affinity_bin("proof [q] : { I[q] }; [q] *= X; { inv : P0[q] }; { P0[q] }");
-        assert_eq!(a, d);
-        // Comments with braces don't perturb the bin.
-        let e = affinity_bin("// a { spurious } comment\nproof [q] : { P0[q] }; skip; { I[q] }");
-        assert_eq!(a, e);
     }
 
     #[test]

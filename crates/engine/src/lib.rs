@@ -46,14 +46,14 @@ mod pool;
 mod report;
 
 pub use cache::{record_cache_metrics, CacheStats, MemoCache};
-pub use corpus::{affinity_bin, Corpus, CorpusError, Job};
+pub use corpus::{Corpus, CorpusError, Job};
 // Re-exported so downstream consumers of [`JobReport`] (the service
 // daemon's verdict events) can name the counterexample payload without a
 // direct `nqpv-diagnose` dependency.
 pub use disk::{DiskCache, DiskStats, DISK_LAYOUT_VERSION};
 pub use nqpv_diagnose::Counterexample;
 pub use pool::{
-    run_batch, run_job, run_job_isolated, run_job_traced, run_pool, BatchOptions,
-    BinnedCorpusSource, JobSource, PoolObserver, SourcedJob,
+    run_batch, run_job, run_job_isolated, run_job_traced, run_pool, BatchOptions, JobSource,
+    PoolObserver, SourcedJob,
 };
 pub use report::{BatchReport, JobReport, JobStatus, ProofReport};

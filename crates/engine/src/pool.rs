@@ -2,11 +2,9 @@
 //! them concurrently over a shared memo cache, and streams lifecycle
 //! callbacks to a [`PoolObserver`].
 //!
-//! [`run_batch`] is the classic fixed-corpus entry point: it wraps the
-//! corpus in a [`BinnedCorpusSource`] (verdict-cache-aware scheduling: jobs
-//! sharing an [`affinity bin`](crate::corpus::affinity_bin) run on one
-//! worker, so the bin's first member warms the verdict tier for the rest)
-//! and assembles the final [`BatchReport`]. Long-running drivers — the
+//! [`run_batch`] is the classic fixed-corpus entry point: workers take the
+//! corpus's jobs in corpus order from one shared cursor, and the final
+//! [`BatchReport`] is assembled in that order. Long-running drivers — the
 //! `nqpv-service` daemon — implement [`JobSource`] over a live queue
 //! instead and observe per-job events as they happen; the pool itself is
 //! indifferent to where jobs come from or when the source ends.
@@ -17,7 +15,6 @@ use crate::report::{BatchReport, JobReport, JobStatus, ProofReport};
 use nqpv_core::{Session, VcOptions};
 use nqpv_linalg::par;
 use nqpv_telemetry::{log as tlog, wall_clock_us, ArgValue, Deadline, Phase, Tracer};
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,11 +36,6 @@ pub struct BatchOptions {
     /// Optional persistent verdict store layered under the shared cache
     /// (see [`crate::DiskCache`]); ignored when `use_cache` is off.
     pub disk: Option<Arc<crate::DiskCache>>,
-    /// Verdict-cache-aware scheduling: group jobs by affinity bin and run
-    /// each bin on a single worker (on by default). `false` restores
-    /// plain submission-order work stealing, the reference the
-    /// placement-only test compares binning against.
-    pub bin_jobs: bool,
     /// Diagnose rejected jobs: run the `nqpv-diagnose` counterexample
     /// extractor on every job with a rejected proof and attach the
     /// witnesses to its [`JobReport`] (the `nqpv batch --explain` mode).
@@ -69,7 +61,6 @@ impl Default for BatchOptions {
             use_cache: true,
             cache_cap: None,
             disk: None,
-            bin_jobs: true,
             explain: false,
             trace_dir: None,
             job_timeout: None,
@@ -127,7 +118,7 @@ pub trait PoolObserver: Send + Sync {
     fn job_started(&self, seq: usize, job: &Job, worker: usize) {
         let _ = (seq, job, worker);
     }
-    /// The job finished; `report` carries verdict, timing, bin and worker.
+    /// The job finished; `report` carries verdict, timing and worker.
     fn job_finished(&self, seq: usize, report: &JobReport) {
         let _ = (seq, report);
     }
@@ -239,19 +230,23 @@ pub fn run_job_isolated(
             None => vc,
         };
         let kernel_deadline = job_timeout.map(|budget| Instant::now() + budget);
-        let outcome = par::with_job_deadline(kernel_deadline, || {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                job_attempt(
-                    job,
-                    vc,
-                    cache.clone(),
-                    worker,
-                    explain,
-                    trace_dir,
-                    queued_wall_us,
-                    attempt,
-                )
-            }))
+        // The panic hook's record names the job's trace, like the
+        // pool's own warn below.
+        let outcome = tlog::with_trace_id(job.trace.trace_id, || {
+            par::with_job_deadline(kernel_deadline, || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    job_attempt(
+                        job,
+                        vc,
+                        cache.clone(),
+                        worker,
+                        explain,
+                        trace_dir,
+                        queued_wall_us,
+                        attempt,
+                    )
+                }))
+            })
         });
         match outcome {
             Ok(report) => return report,
@@ -279,7 +274,6 @@ pub fn run_job_isolated(
                     path: job.path.as_ref().map(|p| p.display().to_string()),
                     status,
                     ms: secs * 1e3,
-                    bin: job.bin,
                     worker,
                     counterexamples: Vec::new(),
                     phases: Default::default(),
@@ -325,7 +319,6 @@ pub fn run_job_isolated(
         path: job.path.as_ref().map(|p| p.display().to_string()),
         status,
         ms: secs * 1e3,
-        bin: job.bin,
         worker,
         counterexamples: Vec::new(),
         phases: Default::default(),
@@ -333,83 +326,24 @@ pub fn run_job_isolated(
     }
 }
 
-/// A drained-once job source over a fixed corpus with **verdict-cache
-/// affinity scheduling**: jobs are grouped by [`Job::bin`] (first-seen
-/// order) and a worker claims a whole bin at a time, running its members
-/// sequentially. The first member's solver verdicts become warm cache
-/// hits for its siblings instead of duplicate concurrent solver calls on
-/// other workers; unrelated bins still parallelise freely. With
-/// `binned = false` every job is its own group — plain work stealing.
-pub struct BinnedCorpusSource {
-    /// Job groups; each inner vec is one bin, in corpus first-seen order.
-    groups: Vec<Vec<SourcedJob>>,
-    next_group: AtomicUsize,
-    /// Per-worker tail of the group it last claimed.
-    pending: Vec<Mutex<VecDeque<SourcedJob>>>,
+/// A drained-once job source over a fixed corpus: workers take jobs in
+/// corpus order from one shared cursor.
+struct CorpusSource<'a> {
+    jobs: &'a [Job],
+    next: AtomicUsize,
+    /// When the source was built: every batch job is "enqueued" then, and
+    /// the gap until a worker claims it is its queue wait.
+    queued_wall_us: u64,
 }
 
-impl BinnedCorpusSource {
-    /// Groups `corpus` for `workers` workers. `binned = false` yields
-    /// singleton groups (pure work stealing).
-    pub fn new(corpus: &Corpus, workers: usize, binned: bool) -> Self {
-        // Every batch job is "enqueued" when the source is built; the gap
-        // until a worker claims it is its queue wait.
-        let queued_wall_us = wall_clock_us();
-        let mut groups: Vec<Vec<SourcedJob>> = Vec::new();
-        let mut index: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        for (seq, job) in corpus.jobs().iter().enumerate() {
-            let sourced = SourcedJob {
-                seq,
-                job: job.clone(),
-                queued_wall_us,
-            };
-            if !binned {
-                groups.push(vec![sourced]);
-                continue;
-            }
-            match index.entry(job.bin) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    groups[*e.get()].push(sourced);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(groups.len());
-                    groups.push(vec![sourced]);
-                }
-            }
-        }
-        BinnedCorpusSource {
-            groups,
-            next_group: AtomicUsize::new(0),
-            pending: (0..workers.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-        }
-    }
-
-    /// Number of distinct scheduling groups (bins).
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-}
-
-impl JobSource for BinnedCorpusSource {
-    fn next(&self, worker: usize) -> Option<SourcedJob> {
-        let slot = &self.pending[worker % self.pending.len()];
-        if let Some(job) = slot.lock().unwrap_or_else(|e| e.into_inner()).pop_front() {
-            return Some(job);
-        }
-        loop {
-            // Claim the next unowned bin; its tail becomes this worker's
-            // private queue, so the whole bin runs here.
-            let g = self.next_group.fetch_add(1, Ordering::Relaxed);
-            let group = self.groups.get(g)?;
-            let mut mine: VecDeque<SourcedJob> = group.iter().cloned().collect();
-            let Some(first) = mine.pop_front() else {
-                continue;
-            };
-            *slot.lock().unwrap_or_else(|e| e.into_inner()) = mine;
-            return Some(first);
-        }
+impl JobSource for CorpusSource<'_> {
+    fn next(&self, _worker: usize) -> Option<SourcedJob> {
+        let seq = self.next.fetch_add(1, Ordering::Relaxed);
+        self.jobs.get(seq).map(|job| SourcedJob {
+            seq,
+            job: job.clone(),
+            queued_wall_us: self.queued_wall_us,
+        })
     }
 }
 
@@ -420,8 +354,7 @@ impl JobSource for BinnedCorpusSource {
 /// each job runs in its own `Session`, and the shared cache is
 /// content-addressed with deterministic values, so interleaving only
 /// affects *when* an entry is first computed, never what it contains.
-/// Bin scheduling likewise only shapes *placement* — the report stays in
-/// corpus order.
+/// The report stays in corpus order.
 pub fn run_batch(corpus: &Corpus, options: &BatchOptions) -> BatchReport {
     let t0 = Instant::now();
     let workers = options.effective_workers(corpus.len());
@@ -432,11 +365,13 @@ pub fn run_batch(corpus: &Corpus, options: &BatchOptions) -> BatchReport {
     let n = corpus.len();
     let mut slots: Vec<Option<JobReport>> = Vec::new();
     slots.resize_with(n, || None);
-    let mut bins = 0;
 
     if n > 0 {
-        let source = BinnedCorpusSource::new(corpus, workers, options.bin_jobs);
-        bins = source.group_count();
+        let source = CorpusSource {
+            jobs: corpus.jobs(),
+            next: AtomicUsize::new(0),
+            queued_wall_us: wall_clock_us(),
+        };
         let collector = Collector {
             slots: Mutex::new(slots),
         };
@@ -467,7 +402,6 @@ pub fn run_batch(corpus: &Corpus, options: &BatchOptions) -> BatchReport {
     BatchReport {
         jobs,
         workers,
-        bins,
         total_ms: t0.elapsed().as_secs_f64() * 1e3,
         cache: cache_stats,
     }
@@ -545,18 +479,6 @@ fn job_attempt(
             vec![("worker", ArgValue::U64(worker as u64))],
         );
     }
-    // The scheduler's placement decision, visible on the trace: which
-    // affinity bin the job hashed into and which worker claimed it.
-    tracer.record_external(
-        Phase::Queue,
-        "bin_place",
-        picked_up_us,
-        0,
-        vec![
-            ("bin", ArgValue::Str(format!("{:x}", job.bin))),
-            ("worker", ArgValue::U64(worker as u64)),
-        ],
-    );
     if vc.deadline.armed() {
         let remaining_us = vc.deadline.remaining().map_or(0, |d| d.as_micros() as u64);
         tracer.record_external(
@@ -663,7 +585,6 @@ fn job_attempt(
         path: job.path.as_ref().map(|p| p.display().to_string()),
         status,
         ms: secs * 1e3,
-        bin: job.bin,
         worker,
         counterexamples,
         phases: data.phases,
@@ -781,50 +702,6 @@ mod tests {
                 b.status.label(),
                 "{}: sequential and parallel runs must agree",
                 a.name
-            );
-        }
-    }
-
-    #[test]
-    fn bin_scheduling_co_locates_shared_obligations() {
-        // The two OK jobs share a bin (identical assertion vocabulary):
-        // with binning on they must land on the same worker, whatever the
-        // pool size. The report also surfaces the binning decision.
-        let report = run_batch(
-            &corpus(),
-            &BatchOptions {
-                jobs: 4,
-                ..BatchOptions::default()
-            },
-        );
-        let ok: Vec<_> = report
-            .jobs
-            .iter()
-            .filter(|j| j.name.starts_with("ok"))
-            .collect();
-        assert_eq!(ok.len(), 2);
-        assert_eq!(ok[0].bin, ok[1].bin, "identical sources share a bin");
-        assert_eq!(
-            ok[0].worker, ok[1].worker,
-            "bin members must run on one worker"
-        );
-        assert!(report.bins >= 3, "distinct obligations keep distinct bins");
-        assert!(report.bins < report.jobs.len(), "twins collapse a bin");
-        // Ablation: unbinned runs treat every job as its own group.
-        let plain = run_batch(
-            &corpus(),
-            &BatchOptions {
-                jobs: 4,
-                bin_jobs: false,
-                ..BatchOptions::default()
-            },
-        );
-        assert_eq!(plain.bins, plain.jobs.len());
-        for (a, b) in report.jobs.iter().zip(&plain.jobs) {
-            assert_eq!(
-                a.status.label(),
-                b.status.label(),
-                "binning is placement-only"
             );
         }
     }
@@ -976,7 +853,6 @@ mod tests {
         assert!(events.starts_with('['), "{events}");
         assert!(events.ends_with(']'), "{events}");
         assert!(events.contains("\"cat\":\"wp\""), "{events}");
-        assert!(events.contains("bin_place"), "{events}");
         // Untraced jobs pay nothing: no event payload rides the report.
         let plain = run_job_traced(
             &single.jobs()[0],

@@ -66,10 +66,6 @@ pub struct JobReport {
     pub status: JobStatus,
     /// Wall-clock verification time in milliseconds.
     pub ms: f64,
-    /// Verdict-cache affinity bin (see
-    /// [`crate::corpus::affinity_bin`]) — the scheduler's binning
-    /// decision, surfaced so `--json` consumers can audit placement.
-    pub bin: u64,
     /// Index of the pool worker that ran the job.
     pub worker: usize,
     /// Extracted counterexamples for rejected proofs (non-empty only
@@ -92,9 +88,6 @@ pub struct BatchReport {
     pub jobs: Vec<JobReport>,
     /// Worker threads used.
     pub workers: usize,
-    /// Distinct scheduling groups the corpus collapsed into (equals the
-    /// job count when bin scheduling is off).
-    pub bins: usize,
     /// End-to-end wall time in milliseconds.
     pub total_ms: f64,
     /// Cache counters (`None` when caching was disabled).
@@ -145,7 +138,6 @@ impl BatchReport {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"workers\": {},", self.workers);
-        let _ = writeln!(out, "  \"bins\": {},", self.bins);
         let _ = writeln!(out, "  \"total_ms\": {:.3},", self.total_ms);
         match &self.cache {
             Some(c) => {
@@ -191,7 +183,6 @@ impl BatchReport {
             }
             let _ = write!(out, ", \"status\": \"{}\"", job.status.label());
             let _ = write!(out, ", \"ms\": {:.3}", job.ms);
-            let _ = write!(out, ", \"bin\": \"{:016x}\"", job.bin);
             let _ = write!(out, ", \"worker\": {}", job.worker);
             match &job.status {
                 JobStatus::Verified { proofs } | JobStatus::Rejected { proofs } => {
@@ -273,14 +264,13 @@ impl BatchReport {
         }
         let _ = writeln!(
             out,
-            "---\n{} job(s): {} verified, {} rejected, {} error(s), {} timed out; {} worker(s), {} bin(s), {:.3} ms total",
+            "---\n{} job(s): {} verified, {} rejected, {} error(s), {} timed out; {} worker(s), {:.3} ms total",
             self.jobs.len(),
             self.verified_jobs(),
             self.rejected_jobs(),
             self.errored_jobs(),
             self.timed_out_jobs(),
             self.workers,
-            self.bins,
             self.total_ms
         );
         if let Some(c) = &self.cache {
@@ -389,7 +379,6 @@ mod tests {
                         }],
                     },
                     ms: 1.25,
-                    bin: 0xDEAD_BEEF,
                     worker: 0,
                     counterexamples: Vec::new(),
                     phases: {
@@ -407,7 +396,6 @@ mod tests {
                         message: "line 1: unexpected \"token\"\nmore".into(),
                     },
                     ms: 0.5,
-                    bin: 0x1,
                     worker: 1,
                     counterexamples: Vec::new(),
                     phases: PhaseTotals::default(),
@@ -415,7 +403,6 @@ mod tests {
                 },
             ],
             workers: 2,
-            bins: 2,
             total_ms: 2.0,
             cache: Some(CacheStats {
                 hits: 1,
@@ -449,8 +436,6 @@ mod tests {
         assert!(json.contains("\"verdict_hits\": 3"), "{json}");
         assert!(json.contains("\"verdict_evictions\": 0"), "{json}");
         assert!(json.contains("\"verdict_hit_rate\": 0.7500"), "{json}");
-        assert!(json.contains("\"bins\": 2"), "{json}");
-        assert!(json.contains("\"bin\": \"00000000deadbeef\""), "{json}");
         assert!(json.contains("\"worker\": 1"), "{json}");
         assert!(json.contains("\"disk_hits\": 5"), "{json}");
         assert!(json.contains("\"disk_writes\": 2"), "{json}");
@@ -485,7 +470,6 @@ mod tests {
         assert!(text.contains("2 eviction(s)"), "{text}");
         assert!(text.contains("verdict cache: 3 hit(s)"), "{text}");
         assert!(text.contains("hit rate 75.0%"), "{text}");
-        assert!(text.contains("2 bin(s)"), "{text}");
         assert!(
             text.contains(
                 "disk cache: 5 hit(s), 2 miss(es), 2 write(s); 2 record(s), 4096 byte(s) on disk"
@@ -511,7 +495,6 @@ mod tests {
                 message: "verification deadline exceeded (at statement 2.0)".into(),
             },
             ms: 2000.0,
-            bin: 0x2,
             worker: 0,
             counterexamples: Vec::new(),
             phases: PhaseTotals::default(),

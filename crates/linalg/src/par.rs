@@ -23,16 +23,10 @@
 //!    middle of one giant sweep; expiry unwinds with a [`KernelTimeout`]
 //!    payload that the engine's panic shield converts into a structured
 //!    timeout verdict.
-//!
-//! The seam is the [`KernelBackend`] trait: [`ThreadedBackend`] is the
-//! first implementation, and the ROADMAP's stretch backends (GPU,
-//! structured/stabilizer kernels) install themselves through
-//! [`install_backend`] without touching any call site.
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::RwLock;
 use std::time::Instant;
 
 /// Hard ceiling on the kernel thread count: beyond this, scoped-thread
@@ -121,89 +115,64 @@ fn job_deadline() -> Option<Instant> {
     JOB_DEADLINE.with(|c| c.get())
 }
 
-/// A compute backend for the chunked kernel sweeps. Implementations
-/// split `0..items` into disjoint subranges covering it exactly once and
-/// run `task` on each; they may use any placement (threads, offload)
-/// because every task chunk is independent and writes disjoint output.
-pub trait KernelBackend: Sync {
-    /// Backend name, for diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Runs `task` over disjoint chunks of `0..items`. `work_per_item`
-    /// estimates the FLOP-ish cost of one item so the backend can keep
-    /// cheap sweeps serial and pick sensible chunk sizes.
-    fn for_each_chunk(
-        &self,
-        items: usize,
-        work_per_item: usize,
-        task: &(dyn Fn(Range<usize>) + Sync),
-    );
-}
-
-/// The scoped-`std::thread` backend: work-steals fixed-size chunks off a
-/// shared atomic cursor with up to [`kernel_threads`] workers, observing
-/// the job deadline between chunks.
-#[derive(Debug, Default)]
-pub struct ThreadedBackend;
-
-impl KernelBackend for ThreadedBackend {
-    fn name(&self) -> &'static str {
-        "threaded"
+/// Runs `task` over disjoint chunks of `0..items`: serially below
+/// [`parallel_threshold`] elements of work (`work_per_item` estimates the
+/// FLOP-ish cost of one item), otherwise work-stealing fixed-size chunks
+/// off a shared atomic cursor with up to [`kernel_threads`] scoped
+/// threads. Giant sweeps observe the job deadline between chunks. This
+/// is the one entry point every chunked kernel sweep goes through.
+///
+/// Contract for `task`: chunks must be independent — each item's writes
+/// must target locations no other item touches, and each output value
+/// must be computed entirely within the chunk that owns its item (so
+/// accumulation order cannot depend on the chunking).
+pub fn sweep(items: usize, work_per_item: usize, task: impl Fn(Range<usize>) + Sync) {
+    if items == 0 {
+        return;
     }
-
-    fn for_each_chunk(
-        &self,
-        items: usize,
-        work_per_item: usize,
-        task: &(dyn Fn(Range<usize>) + Sync),
-    ) {
-        if items == 0 {
-            return;
-        }
-        let threads = kernel_threads().min(items);
-        let total = items.saturating_mul(work_per_item.max(1));
-        // Only giant sweeps observe the job deadline mid-sweep: small
-        // ones finish in microseconds anyway, and letting them trip the
-        // deadline first would pre-empt the statement-boundary timeout
-        // report (which carries the partial trajectory).
-        let deadline = if total >= DEADLINE_CHECK_WORK {
-            job_deadline()
-        } else {
-            None
-        };
-        if threads <= 1 || total < parallel_threshold() {
-            run_serial(items, work_per_item, deadline, task);
-            return;
-        }
-        // ~4 chunks per worker balance load without cursor contention.
-        let chunk = items.div_ceil(threads * 4).max(1);
-        let cursor = AtomicUsize::new(0);
-        let expired = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    if let Some(dl) = deadline {
-                        if Instant::now() >= dl {
-                            expired.store(true, Ordering::Relaxed);
-                        }
+    let threads = kernel_threads().min(items);
+    let total = items.saturating_mul(work_per_item.max(1));
+    // Only giant sweeps observe the job deadline mid-sweep: small
+    // ones finish in microseconds anyway, and letting them trip the
+    // deadline first would pre-empt the statement-boundary timeout
+    // report (which carries the partial trajectory).
+    let deadline = if total >= DEADLINE_CHECK_WORK {
+        job_deadline()
+    } else {
+        None
+    };
+    if threads <= 1 || total < parallel_threshold() {
+        run_serial(items, work_per_item, deadline, &task);
+        return;
+    }
+    // ~4 chunks per worker balance load without cursor contention.
+    let chunk = items.div_ceil(threads * 4).max(1);
+    let cursor = AtomicUsize::new(0);
+    let expired = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                if let Some(dl) = deadline {
+                    if Instant::now() >= dl {
+                        expired.store(true, Ordering::Relaxed);
                     }
-                    if expired.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items {
-                        break;
-                    }
-                    task(start..items.min(start + chunk));
-                });
-            }
-        });
-        if expired.load(Ordering::Relaxed) {
-            // Unwind on the parent thread so the payload reaches the
-            // engine's catch_unwind intact (scoped-thread panics do not
-            // carry payloads across the scope boundary reliably).
-            std::panic::panic_any(KernelTimeout);
+                }
+                if expired.load(Ordering::Relaxed) {
+                    break;
+                }
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= items {
+                    break;
+                }
+                task(start..items.min(start + chunk));
+            });
         }
+    });
+    if expired.load(Ordering::Relaxed) {
+        // Unwind on the parent thread so the payload reaches the
+        // engine's catch_unwind intact (scoped-thread panics do not
+        // carry payloads across the scope boundary reliably).
+        std::panic::panic_any(KernelTimeout);
     }
 }
 
@@ -229,31 +198,6 @@ fn run_serial(
         task(start..end);
         start = end;
     }
-}
-
-static THREADED: ThreadedBackend = ThreadedBackend;
-static BACKEND: RwLock<&'static (dyn KernelBackend + Send + Sync)> = RwLock::new(&THREADED);
-
-/// Installs a process-wide kernel backend (the GPU/stabilizer seam).
-pub fn install_backend(backend: &'static (dyn KernelBackend + Send + Sync)) {
-    *BACKEND.write().unwrap_or_else(|e| e.into_inner()) = backend;
-}
-
-/// The currently installed backend.
-pub fn backend() -> &'static (dyn KernelBackend + Send + Sync) {
-    *BACKEND.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `task` over disjoint chunks of `0..items` on the installed
-/// backend. This is the one entry point every chunked kernel sweep goes
-/// through.
-///
-/// Contract for `task`: chunks must be independent — each item's writes
-/// must target locations no other item touches, and each output value
-/// must be computed entirely within the chunk that owns its item (so
-/// accumulation order cannot depend on the chunking).
-pub fn sweep(items: usize, work_per_item: usize, task: impl Fn(Range<usize>) + Sync) {
-    backend().for_each_chunk(items, work_per_item, &task);
 }
 
 /// A raw shared-mutable view of a slice for sweep chunks whose write
@@ -398,10 +342,5 @@ mod tests {
         set_kernel_threads(0);
         assert_eq!(kernel_threads(), 1);
         set_kernel_threads(1);
-    }
-
-    #[test]
-    fn default_backend_is_threaded() {
-        assert_eq!(backend().name(), "threaded");
     }
 }

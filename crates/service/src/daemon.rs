@@ -997,7 +997,6 @@ fn submit_jobs(
     let mut accepted = Vec::with_capacity(jobs.len());
     for (id, job) in ids.into_iter().zip(jobs) {
         let name = job.name.clone();
-        let bin = job.bin;
         tlog::debug(
             "daemon",
             job.trace.trace_id,
@@ -1016,7 +1015,6 @@ fn submit_jobs(
             id,
             name: name.clone(),
             priority,
-            bin: format!("{bin:016x}"),
         }
         .to_line();
         shared.publish(Some(id), &line);

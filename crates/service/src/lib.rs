@@ -19,9 +19,8 @@
 //!   the workspace vendors no serde.
 //! * **Scheduling** ([`queue`]) — a blocking priority heap implementing
 //!   the engine's [`nqpv_engine::JobSource`] seam, ordered by
-//!   `(priority, verdict-cache affinity bin, FIFO)`, so urgent work
-//!   preempts and cache-warming co-location happens inside each
-//!   priority class.
+//!   `(priority, FIFO)`, so urgent work preempts and jobs of one
+//!   priority class run in submission order.
 //! * **Daemon** ([`daemon`], [`client`]) — the accept/connection layer,
 //!   an event hub fanning job lifecycle events to subscribers, and the
 //!   engine pool pulling from the live queue, its [`nqpv_engine::MemoCache`]

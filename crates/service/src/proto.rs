@@ -10,10 +10,10 @@
 //! ```text
 //! → {"cmd":"submit","name":"grover","source":"def pf := …","priority":5}
 //! ← {"event":"accepted","jobs":[{"id":0,"name":"grover"}]}
-//! ← {"event":"queued","id":0,"name":"grover","priority":5,"bin":"93b7…"}
+//! ← {"event":"queued","id":0,"name":"grover","priority":5}
 //! ← {"event":"running","id":0,"name":"grover","worker":1}
 //! ← {"event":"verdict","id":0,"name":"grover","status":"verified","ms":8.3,
-//!    "bin":"93b7…","worker":1,"proofs":[{"name":"pf","verified":true}]}
+//!    "worker":1,"proofs":[{"name":"pf","verified":true}]}
 //! ```
 //!
 //! Messages are versioned implicitly by field presence — unknown fields
@@ -258,8 +258,6 @@ pub struct VerdictEvent {
     pub status: String,
     /// Verification wall time (ms).
     pub ms: f64,
-    /// Scheduling bin (hex of [`nqpv_engine::affinity_bin`]).
-    pub bin: String,
     /// Worker that ran the job.
     pub worker: u64,
     /// Per-proof verdicts (empty for `error` and `timeout` jobs).
@@ -293,8 +291,6 @@ pub enum Event {
         name: String,
         /// Its scheduling priority.
         priority: i64,
-        /// Its affinity bin (hex).
-        bin: String,
     },
     /// A worker picked the job up.
     Running {
@@ -371,17 +367,11 @@ impl Event {
                     .collect();
                 obj(vec![("event", s("accepted")), ("jobs", Json::Arr(items))]).to_string()
             }
-            Event::Queued {
-                id,
-                name,
-                priority,
-                bin,
-            } => obj(vec![
+            Event::Queued { id, name, priority } => obj(vec![
                 ("event", s("queued")),
                 ("id", n(*id as f64)),
                 ("name", s(name.clone())),
                 ("priority", n(*priority as f64)),
-                ("bin", s(bin.clone())),
             ])
             .to_string(),
             Event::Running { id, name, worker } => obj(vec![
@@ -398,7 +388,6 @@ impl Event {
                     ("name", s(v.name.clone())),
                     ("status", s(v.status.clone())),
                     ("ms", n(v.ms)),
-                    ("bin", s(v.bin.clone())),
                     ("worker", n(v.worker as f64)),
                 ];
                 if let Some(t) = &v.trace {
@@ -556,11 +545,6 @@ impl Event {
                 id: id()?,
                 name: name()?,
                 priority: v.get("priority").and_then(Json::as_i64).unwrap_or(0),
-                bin: v
-                    .get("bin")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
             }),
             "running" => Ok(Event::Running {
                 id: id()?,
@@ -589,11 +573,6 @@ impl Event {
                         .ok_or_else(|| "missing 'status'".to_string())?
                         .to_string(),
                     ms: v.get("ms").and_then(Json::as_f64).unwrap_or(0.0),
-                    bin: v
-                        .get("bin")
-                        .and_then(Json::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
                     worker: v.get("worker").and_then(Json::as_u64).unwrap_or(0),
                     proofs,
                     error: v.get("error").and_then(Json::as_str).map(str::to_string),
@@ -719,7 +698,6 @@ pub fn verdict_event(id: u64, report: &JobReport, trace: Option<String>) -> Even
         name: report.name.clone(),
         status: report.status.label().to_string(),
         ms: report.ms,
-        bin: format!("{:016x}", report.bin),
         worker: report.worker as u64,
         proofs,
         error,
@@ -790,7 +768,6 @@ mod tests {
                 id: 3,
                 name: "grover".into(),
                 priority: 5,
-                bin: "00ff".into(),
             },
             Event::Running {
                 id: 3,
@@ -802,7 +779,6 @@ mod tests {
                 name: "grover".into(),
                 status: "rejected".into(),
                 ms: 1.5,
-                bin: "00ff".into(),
                 worker: 2,
                 proofs: vec![("pf".into(), false)],
                 error: None,
@@ -818,7 +794,6 @@ mod tests {
                 name: "broken".into(),
                 status: "error".into(),
                 ms: 0.25,
-                bin: "0".into(),
                 worker: 0,
                 proofs: vec![],
                 error: Some("line 1: parse error \"x\"".into()),
@@ -830,7 +805,6 @@ mod tests {
                 name: "loopy".into(),
                 status: "timeout".into(),
                 ms: 2000.0,
-                bin: "0".into(),
                 worker: 1,
                 proofs: vec![],
                 error: Some("verification deadline exceeded (at while M01[q] …)".into()),
@@ -896,6 +870,36 @@ mod tests {
             assert!(!line.contains('\n'), "one line per message: {line}");
             assert_eq!(Event::parse(&line).unwrap(), e, "{line}");
         }
+    }
+
+    #[test]
+    fn old_daemons_bin_members_are_ignored() {
+        // Older daemons send a `bin` member on `queued` and `verdict`;
+        // unknown members must not break decode.
+        let queued = r#"{"event":"queued","id":0,"name":"grover","priority":5,"bin":"93b7"}"#;
+        assert_eq!(
+            Event::parse(queued).unwrap(),
+            Event::Queued {
+                id: 0,
+                name: "grover".into(),
+                priority: 5,
+            }
+        );
+        let verdict = r#"{"event":"verdict","id":0,"name":"grover","status":"verified","ms":8.3,"bin":"93b7","worker":1,"proofs":[{"name":"pf","verified":true}]}"#;
+        assert_eq!(
+            Event::parse(verdict).unwrap(),
+            Event::Verdict(VerdictEvent {
+                id: 0,
+                name: "grover".into(),
+                status: "verified".into(),
+                ms: 8.3,
+                worker: 1,
+                proofs: vec![("pf".into(), true)],
+                error: None,
+                counterexamples: vec![],
+                trace: None,
+            })
+        );
     }
 
     #[test]

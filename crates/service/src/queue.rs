@@ -2,12 +2,9 @@
 //! [`JobSource`], so the same worker pool that drains fixed corpora
 //! drives the live service.
 //!
-//! Ordering is `(priority desc, bin, submission id)`: higher-priority
-//! jobs always run first; within a priority class, jobs sharing a
-//! verdict-cache affinity bin ([`nqpv_engine::affinity_bin`]) pop
-//! consecutively so the bin's first member warms the verdict tier for
-//! its siblings — the live-queue analogue of the batch engine's
-//! bin-at-a-time scheduling; ties break FIFO by submission id.
+//! Ordering is `(priority desc, submission id)`: higher-priority jobs
+//! always run first, and within a priority class jobs pop in submission
+//! order, so no job waits behind work submitted after it.
 //!
 //! `next` blocks idle workers on a condvar until a job arrives or the
 //! queue is closed. Closing wakes everyone: running jobs finish, still
@@ -24,7 +21,6 @@ use std::time::Instant;
 #[derive(Debug)]
 struct Entry {
     priority: i64,
-    bin: u64,
     seq: usize,
     job: Job,
     /// When the job entered the heap; the queue-wait observation spans
@@ -54,7 +50,6 @@ impl Ord for Entry {
     fn cmp(&self, other: &Self) -> CmpOrdering {
         self.priority
             .cmp(&other.priority)
-            .then_with(|| other.bin.cmp(&self.bin))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -170,7 +165,6 @@ impl JobQueue {
             }
             inner.heap.push(Entry {
                 priority,
-                bin: job.bin,
                 seq: id as usize,
                 job,
                 queued_at: Instant::now(),
@@ -287,9 +281,8 @@ mod tests {
     }
 
     #[test]
-    fn pops_by_priority_then_bin_then_fifo() {
+    fn pops_by_priority_then_fifo() {
         let q = JobQueue::new();
-        // Two bins: sources with distinct assertion vocabularies.
         let a = "{ P0[q] }";
         let b = "{ P1[q] }";
         q.push(job("low-a", a), 0).unwrap();
@@ -300,18 +293,23 @@ mod tests {
         let order: Vec<String> = (0..5).map(|_| q.next(0).unwrap().job.name).collect();
         q.close();
         assert!(q.next(0).is_none(), "closed + empty retires workers");
-        // Priority 5 first (bin order within a class depends on the
-        // hash values, so check membership + grouping, not exact order).
-        assert_eq!(order.len(), 5);
-        assert!(
-            order[..2].contains(&"hi-a".to_string()) && order[..2].contains(&"hi-b".to_string()),
-            "high-priority jobs must run first: {order:?}"
-        );
-        let lows = &order[2..];
-        assert!(
-            lows == ["low-a", "low-a2", "low-b"] || lows == ["low-b", "low-a", "low-a2"],
-            "same-bin jobs must pop consecutively: {order:?}"
-        );
+        assert_eq!(order, ["hi-b", "hi-a", "low-a", "low-b", "low-a2"]);
+    }
+
+    #[test]
+    fn same_priority_jobs_pop_in_submission_order_whatever_their_sources() {
+        // The first job's source is one that an order keyed on source
+        // content (a hash of its assertion operators) would run last: a
+        // job must never wait behind same-priority work submitted after it.
+        let q = JobQueue::new();
+        let first = "{ I[q] }";
+        let later = "{ P0[q] }";
+        q.push(job("first", first), 0).unwrap();
+        for i in 0..3 {
+            q.push(job(&format!("later-{i}"), later), 0).unwrap();
+        }
+        let order: Vec<String> = (0..4).map(|_| q.next(0).unwrap().job.name).collect();
+        assert_eq!(order, ["first", "later-0", "later-1", "later-2"]);
     }
 
     #[test]

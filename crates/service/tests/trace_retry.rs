@@ -40,7 +40,7 @@ fn traced_submission_survives_an_injected_panic() {
     let (name, trace_hex, events) = client.fetch_trace(id).unwrap();
     assert_eq!(name, "panicky");
     assert_eq!(trace_hex, hex);
-    for needle in ["queue_wait", "bin_place", "retry_attempt", "\"cat\":\"wp\""] {
+    for needle in ["queue_wait", "retry_attempt", "\"cat\":\"wp\""] {
         assert!(events.contains(needle), "missing {needle} in {events}");
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency structured tracing and metrics for the NQPV stack.
 //!
-//! Scheduling and performance work (affinity binning, intra-job kernel
+//! Scheduling and performance work (the worker pool, intra-job kernel
 //! parallelism, cache tiers) needs to *see* where time and cache capacity
 //! go. This crate is that seam, in two halves:
 //!

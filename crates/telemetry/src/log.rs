@@ -9,6 +9,7 @@
 
 use crate::json_string;
 use crate::trace::wall_clock_us;
+use std::cell::Cell;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
@@ -51,11 +52,31 @@ impl Level {
 static MAX_LEVEL: AtomicU8 = AtomicU8::new(Level::Info as u8);
 static JSON: AtomicBool = AtomicBool::new(false);
 
+thread_local! {
+    /// The trace id of the job this thread is running (0 = none); the
+    /// panic hook tags its record with it.
+    static CURRENT_TRACE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Runs `f` with `trace_id` as this thread's current trace id, so the
+/// record the [`init`] panic hook writes for a panic inside `f` names the
+/// job's trace. The previous id is restored afterwards, also on unwind.
+pub fn with_trace_id<R>(trace_id: u64, f: impl FnOnce() -> R) -> R {
+    struct Restore(u64);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CURRENT_TRACE.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(CURRENT_TRACE.with(|c| c.replace(trace_id)));
+    f()
+}
+
 /// Configures the process-wide sink: emit records at `level` and above,
 /// as JSON lines when `json`. Also routes panics through the logger —
 /// the default hook's free-form multi-line print would tear a
 /// `--log-json` stream, and this way every panic is one record with its
-/// source location.
+/// source location and the thread's current trace id ([`with_trace_id`]).
 pub fn init(level: Level, json: bool) {
     MAX_LEVEL.store(level as u8, Ordering::Relaxed);
     JSON.store(json, Ordering::Relaxed);
@@ -72,7 +93,8 @@ pub fn init(level: Level, json: bool) {
                 .location()
                 .map(|l| format!("{}:{}:{}", l.file(), l.line(), l.column()))
                 .unwrap_or_default();
-            error("panic", 0, &msg, &[("location", &location)]);
+            let trace_id = CURRENT_TRACE.with(Cell::get);
+            error("panic", trace_id, &msg, &[("location", &location)]);
         }));
     });
 }
@@ -152,5 +174,20 @@ mod tests {
         assert_eq!(Level::parse("debug"), Some(Level::Debug));
         assert_eq!(Level::parse("nope"), None);
         assert_eq!(Level::Info.label(), "info");
+    }
+
+    #[test]
+    fn trace_id_is_scoped_and_restored_on_unwind() {
+        let current = || CURRENT_TRACE.with(Cell::get);
+        assert_eq!(current(), 0);
+        with_trace_id(7, || {
+            assert_eq!(current(), 7);
+            with_trace_id(9, || assert_eq!(current(), 9));
+            assert_eq!(current(), 7);
+            let unwound = std::panic::catch_unwind(|| with_trace_id(11, || panic!("boom")));
+            assert!(unwound.is_err());
+            assert_eq!(current(), 7);
+        });
+        assert_eq!(current(), 0);
     }
 }

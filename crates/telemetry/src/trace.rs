@@ -849,7 +849,7 @@ mod tests {
             "queue_wait",
             wall.saturating_sub(5_000),
             5_000,
-            vec![("bin", ArgValue::U64(3))],
+            vec![("worker", ArgValue::U64(3))],
         );
         let data = t.finish().expect("live sink");
         assert_eq!(data.context, ctx);
