@@ -6,8 +6,9 @@
 //! `CMat`s, pure states are `CVec`s.
 
 use crate::complex::{cr, Complex, TOL};
+use crate::par::{Isa, SharedMut};
 use std::fmt;
-use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub};
+use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Range, Sub};
 
 /// Inner-dimension tile for [`CMat::mul`]: a 64-row block of the right
 /// operand (64·cols complex entries, 1 KiB per 64 columns) stays
@@ -468,7 +469,7 @@ impl CMat {
     }
 
     /// Matrix product `A·B`, cache-blocked over the inner (`k`)
-    /// dimension and row-parallel across the kernel backend.
+    /// dimension and row-parallel through [`crate::par::sweep`].
     ///
     /// The i-k-j loop is tiled so a `MUL_BLOCK_K`-row block of `rhs`
     /// stays cache-resident while every output row streams over it —
@@ -477,14 +478,20 @@ impl CMat {
     /// contributions in strictly ascending order (blocks ascend, `k`
     /// ascends within a block) and keeps the exact-zero skip, so results
     /// are bitwise identical to the untiled kernel — and to every thread
-    /// count, since a row is computed wholly inside one chunk.
+    /// count, since a row is computed wholly inside one chunk, and to
+    /// every instruction-set instance of the row update.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn mul(&self, rhs: &CMat) -> CMat {
+        self.mul_as(Isa::host(), rhs)
+    }
+
+    /// [`CMat::mul`] with its row update run as the `isa` instance.
+    pub(crate) fn mul_as(&self, isa: Isa, rhs: &CMat) -> CMat {
         assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
-        mul_by(self.rows, self.cols, |i, k| self[(i, k)], rhs)
+        mul_by(isa, self.rows, self.cols, |i, k| self[(i, k)], rhs)
     }
 
     /// `A†·B`, reading `A†` from `self` by index instead of copying it:
@@ -495,8 +502,13 @@ impl CMat {
     ///
     /// Panics if `self.rows() != rhs.rows()`.
     pub fn adjoint_mul(&self, rhs: &CMat) -> CMat {
+        self.adjoint_mul_as(Isa::host(), rhs)
+    }
+
+    /// [`CMat::adjoint_mul`] with its row update run as the `isa` instance.
+    pub(crate) fn adjoint_mul_as(&self, isa: Isa, rhs: &CMat) -> CMat {
         assert_eq!(self.rows, rhs.rows, "matmul shape mismatch");
-        mul_by(self.cols, self.rows, |i, k| self[(k, i)].conj(), rhs)
+        mul_by(isa, self.cols, self.rows, |i, k| self[(k, i)].conj(), rhs)
     }
 
     /// Conjugation `A·B·A†` (e.g. `UρU†`, `KρK†`).
@@ -624,43 +636,85 @@ impl CMat {
 /// The blocked, row-parallel product kernel behind [`CMat::mul`] and
 /// [`CMat::adjoint_mul`]: `out[i] = Σ_k lhs(i, k)·rhs[k]` for a virtual
 /// `rows × inner` left operand read through `lhs`, skipping exact-zero
-/// `lhs` entries and accumulating each element in ascending `k`.
+/// `lhs` entries and accumulating each element in ascending `k`. Each
+/// chunk of rows runs as the `isa` instance of [`mul_rows`].
 fn mul_by(
+    isa: Isa,
     rows: usize,
     inner: usize,
     lhs: impl Fn(usize, usize) -> Complex + Sync,
     rhs: &CMat,
 ) -> CMat {
     let mut out = CMat::zeros(rows, rhs.cols);
-    let ncols = rhs.cols;
-    if rows == 0 || ncols == 0 || inner == 0 {
+    if rows == 0 || rhs.cols == 0 || inner == 0 {
         return out;
     }
-    let shared = crate::par::SharedMut::new(&mut out.data);
-    crate::par::sweep(rows, inner * ncols, |rows| {
-        for kb in (0..inner).step_by(MUL_BLOCK_K) {
-            let kend = inner.min(kb + MUL_BLOCK_K);
-            for i in rows.clone() {
-                // SAFETY: chunks own disjoint row ranges, so the
-                // reconstituted output rows never alias across
-                // threads; the borrow of `out` outlives the sweep.
-                let orow =
-                    unsafe { std::slice::from_raw_parts_mut(shared.ptr().add(i * ncols), ncols) };
-                for k in kb..kend {
-                    let a = lhs(i, k);
-                    // Skip exact (±0) zeros only — see `Complex::is_exact_zero`.
-                    if a.is_exact_zero() {
-                        continue;
-                    }
-                    let rrow = &rhs.data[k * ncols..(k + 1) * ncols];
-                    for (o, r) in orow.iter_mut().zip(rrow) {
-                        *o += a * *r;
-                    }
-                }
+    let shared = SharedMut::new(&mut out.data);
+    crate::par::sweep(rows, inner * rhs.cols, |range| {
+        // SAFETY: chunks own disjoint row ranges of `out`, whose borrow
+        // outlives the sweep. The AVX-512 instance runs only when the
+        // host has `avx512f`.
+        unsafe {
+            if isa.avx512() {
+                #[cfg(target_arch = "x86_64")]
+                return mul_rows_avx512(&lhs, rhs, &shared, range);
             }
+            mul_rows(&lhs, rhs, &shared, range)
         }
     });
     out
+}
+
+/// Output rows `range` of [`mul_by`], blocked over `k`: the body both
+/// instruction-set instances share.
+///
+/// # Safety
+///
+/// `out` must wrap a live `lhs-rows × rhs.cols` buffer, and no
+/// concurrent call may touch the rows in `range`.
+#[inline(always)]
+unsafe fn mul_rows(
+    lhs: &impl Fn(usize, usize) -> Complex,
+    rhs: &CMat,
+    out: &SharedMut<Complex>,
+    range: Range<usize>,
+) {
+    let (inner, ncols) = (rhs.rows, rhs.cols);
+    for kb in (0..inner).step_by(MUL_BLOCK_K) {
+        let kend = inner.min(kb + MUL_BLOCK_K);
+        for i in range.clone() {
+            // SAFETY: row `i` of the live output buffer, which no
+            // concurrent call touches.
+            let orow = std::slice::from_raw_parts_mut(out.ptr().add(i * ncols), ncols);
+            for k in kb..kend {
+                let a = lhs(i, k);
+                // Skip exact (±0) zeros only — see `Complex::is_exact_zero`.
+                if a.is_exact_zero() {
+                    continue;
+                }
+                let rrow = &rhs.data[k * ncols..(k + 1) * ncols];
+                for (o, r) in orow.iter_mut().zip(rrow) {
+                    *o += a * *r;
+                }
+            }
+        }
+    }
+}
+
+/// [`mul_rows`] compiled for AVX-512.
+///
+/// # Safety
+///
+/// As [`mul_rows`], on a host with `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn mul_rows_avx512(
+    lhs: &impl Fn(usize, usize) -> Complex,
+    rhs: &CMat,
+    out: &SharedMut<Complex>,
+    range: Range<usize>,
+) {
+    mul_rows(lhs, rhs, out, range)
 }
 
 impl Index<(usize, usize)> for CMat {
@@ -741,6 +795,62 @@ impl fmt::Display for CMat {
 mod tests {
     use super::*;
     use crate::complex::c;
+    use crate::par::test_support::{assert_every_instance_agrees, TestRng};
+
+    /// A random `rows × cols` matrix in which every third entry takes one
+    /// of `specials`: a zero replaces the whole entry (`±0 ∓ 0i`, so the
+    /// exact-zero skip runs), any other value one component.
+    fn seeded(rng: &mut TestRng, rows: usize, cols: usize, specials: &[f64]) -> CMat {
+        let mut data = rng.complexes(rows * cols);
+        if !specials.is_empty() {
+            for (t, z) in data.iter_mut().enumerate().step_by(3) {
+                let x = specials[(t / 3) % specials.len()];
+                if x == 0.0 {
+                    *z = c(x, -x);
+                } else if t % 2 == 0 {
+                    z.re = x;
+                } else {
+                    z.im = x;
+                }
+            }
+        }
+        CMat::from_vec(rows, cols, data)
+    }
+
+    /// `mul` and `adjoint_mul` give the same bits on every instruction-set
+    /// instance and thread count: blocked inner dimensions, exact ±0
+    /// entries (the zero skip), subnormals, ±inf, and NaN (compared by
+    /// position only).
+    #[test]
+    fn products_agree_across_instruction_sets() {
+        let mut rng = TestRng::new(25);
+        let inputs: [&[f64]; 4] = [
+            &[],
+            &[0.0, -0.0, 1.5, -0.0],
+            &[1e-310, -5e-324, 0.0, 2.2e-308],
+            &[f64::INFINITY, 0.0, f64::NEG_INFINITY, f64::NAN, -0.0],
+        ];
+        for (rows, inner, cols) in [
+            (1, 1, 1),
+            (3, 7, 5),
+            (16, 16, 16),
+            (33, 130, 17),
+            (64, 70, 9),
+        ] {
+            for specials in inputs {
+                let a = seeded(&mut rng, rows, inner, specials);
+                let b = seeded(&mut rng, inner, cols, specials);
+                let what = format!("{rows}×{inner}·{inner}×{cols}, specials {specials:?}");
+                assert_every_instance_agrees(&format!("mul, {what}"), |isa| {
+                    a.mul_as(isa, &b).as_slice().to_vec()
+                });
+                let at = seeded(&mut rng, inner, rows, specials);
+                assert_every_instance_agrees(&format!("adjoint_mul, {what}"), |isa| {
+                    at.adjoint_mul_as(isa, &b).as_slice().to_vec()
+                });
+            }
+        }
+    }
 
     fn pauli_x() -> CMat {
         CMat::from_real(2, 2, &[0.0, 1.0, 1.0, 0.0])

@@ -5,10 +5,19 @@
 //! computational-basis index of the full space puts **qubit 0 in the most
 //! significant bit**, so `kron(A, B)` acts with `A` on lower-numbered qubits.
 //! `bit_of(i, q, n) = (i >> (n-1-q)) & 1`.
+//!
+//! Every dense gate sweep runs its chunks through one `#[inline(always)]`
+//! body, compiled twice: as the target compiles it, and for AVX-512 when
+//! the host has it (see [`crate::par`]). The body uses no fused
+//! multiply-add (neither the instruction nor the `f64` method) and no
+//! reassociation, so each output element sums the same products in the
+//! same order on either instance: results are bitwise identical across
+//! instruction sets, as they are across thread counts.
 
 use crate::complex::Complex;
 use crate::matrix::{CMat, CVec};
-use crate::par::{self, SharedMut};
+use crate::par::{self, Isa, SharedMut};
+use std::ops::Range;
 
 /// Value of qubit `q`'s bit inside basis index `i` of an `n`-qubit space.
 #[inline]
@@ -155,7 +164,7 @@ fn deposit_sub_index(x: usize, positions: &[usize], n: usize) -> usize {
 /// output element sums the same products in the same ascending order
 /// as it would over the materialised matrix, so results are bitwise
 /// identical to it.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum GateView {
     AsIs,
     Conj,
@@ -167,7 +176,7 @@ impl GateView {
     /// `acc ← view(G) · g` for one gathered block. `AsIs`/`Conj` take
     /// row-contiguous dot products; `Adjoint`/`Transpose` stream the
     /// rows of `G` into the accumulator, so no view walks a column.
-    #[inline]
+    #[inline(always)]
     fn apply(self, gate: &CMat, g: &[Complex], acc: &mut [Complex]) {
         match self {
             GateView::AsIs => dot_rows(gate, g, acc, |z| z),
@@ -206,8 +215,10 @@ fn stream_rows(gate: &CMat, g: &[Complex], acc: &mut [Complex], f: impl Fn(Compl
 /// `n`-qubit space: the "rest" qubit shifts and the sub-index deposits.
 /// Building it once per gate application (instead of once per matrix row,
 /// as a naive loop would) keeps the strided kernels allocation-free on
-/// the hot path.
+/// the hot path. The plan also fixes the instruction-set instance its
+/// sweep chunks run as: the host's, read once per plan.
 struct GatePlan {
+    isa: Isa,
     dk: usize,
     rest_count: usize,
     rest_shifts: Vec<usize>,
@@ -234,6 +245,7 @@ impl GatePlan {
             .map(|x| deposit_sub_index(x, positions, n))
             .collect();
         GatePlan {
+            isa: Isa::host(),
             dk,
             rest_count: dn >> k,
             rest_shifts,
@@ -257,6 +269,7 @@ impl GatePlan {
     /// `data` must wrap a live buffer for the duration of the call, and
     /// the index set this call touches must be disjoint from that of
     /// every concurrent call on the same buffer.
+    #[inline(always)]
     unsafe fn run_raw(
         &self,
         gate: &CMat,
@@ -288,18 +301,61 @@ impl GatePlan {
         }
     }
 
+    /// One sweep chunk: [`GatePlan::run_raw`] on the virtual vectors
+    /// `offset_of(j), stride` for every `j` in `range`, with its own
+    /// scratch buffer. The body both instruction-set instances share.
+    ///
+    /// # Safety
+    ///
+    /// As [`GatePlan::run_raw`], for every `j` in `range`.
+    #[inline(always)]
+    unsafe fn run_chunk(
+        &self,
+        gate: &CMat,
+        view: GateView,
+        data: &SharedMut<Complex>,
+        stride: usize,
+        offset_of: &impl Fn(usize) -> usize,
+        range: Range<usize>,
+    ) {
+        let mut scratch = vec![Complex::ZERO; 2 * self.dk];
+        for j in range {
+            self.run_raw(gate, view, data, offset_of(j), stride, &mut scratch);
+        }
+    }
+
+    /// [`GatePlan::run_chunk`] compiled for AVX-512.
+    ///
+    /// # Safety
+    ///
+    /// As [`GatePlan::run_chunk`], on a host with `avx512f`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn run_chunk_avx512(
+        &self,
+        gate: &CMat,
+        view: GateView,
+        data: &SharedMut<Complex>,
+        stride: usize,
+        offset_of: &impl Fn(usize) -> usize,
+        range: Range<usize>,
+    ) {
+        self.run_chunk(gate, view, data, stride, offset_of, range)
+    }
+
     /// Per-virtual-vector sweep cost estimate (gather + `dk×dk` multiply
-    /// per rest block), for the backend's serial/parallel decision.
+    /// per rest block), for the serial/parallel decision of
+    /// [`par::sweep`].
     fn sweep_work(&self) -> usize {
         self.rest_count * self.dk * (self.dk + 1)
     }
 }
 
 /// Runs `plan` with `view(gate)` on the virtual vectors
-/// `offset_of(j), stride` for every `j ∈ 0..count`, chunked across the
-/// kernel backend. Distinct offsets with a common stride address
-/// disjoint index sets, so chunks never overlap; each chunk brings its
-/// own scratch buffer.
+/// `offset_of(j), stride` for every `j ∈ 0..count`, chunked by
+/// [`par::sweep`], each chunk as the plan's instance. Distinct offsets
+/// with a common stride address disjoint index sets, so chunks never
+/// overlap.
 fn sweep_strided(
     plan: &GatePlan,
     gate: &CMat,
@@ -311,12 +367,16 @@ fn sweep_strided(
 ) {
     let shared = SharedMut::new(data);
     par::sweep(count, plan.sweep_work(), |range| {
-        let mut scratch = vec![Complex::ZERO; 2 * plan.dk];
-        for j in range {
-            // SAFETY: `shared` wraps a live unique borrow; chunk `j`
-            // ranges are disjoint and each `j` touches only indices
-            // `offset_of(j) + t·stride`, distinct across `j`.
-            unsafe { plan.run_raw(gate, view, &shared, offset_of(j), stride, &mut scratch) }
+        // SAFETY: `shared` wraps a live unique borrow; chunk `j` ranges
+        // are disjoint and each `j` touches only indices
+        // `offset_of(j) + t·stride`, distinct across `j`. The AVX-512
+        // instance runs only when the host has `avx512f`.
+        unsafe {
+            if plan.isa.avx512() {
+                #[cfg(target_arch = "x86_64")]
+                return plan.run_chunk_avx512(gate, view, &shared, stride, &offset_of, range);
+            }
+            plan.run_chunk(gate, view, &shared, stride, &offset_of, range)
         }
     });
 }
@@ -655,6 +715,7 @@ pub fn permute_qubits(m: &CMat, perm: &[usize], n: usize) -> CMat {
 mod tests {
     use super::*;
     use crate::complex::{c, cr, TOL};
+    use crate::par::test_support::{assert_every_instance_agrees, assert_same_bits, TestRng};
 
     fn x() -> CMat {
         CMat::from_real(2, 2, &[0.0, 1.0, 1.0, 0.0])
@@ -842,6 +903,155 @@ mod tests {
         assert_eq!(bit_of(5, 0, 3), 1);
         assert_eq!(bit_of(5, 1, 3), 0);
         assert_eq!(bit_of(5, 2, 3), 1);
+    }
+
+    /// A gate on `positions` of an `n`-qubit register.
+    type Case = (CMat, Vec<usize>, usize);
+
+    /// The random shapes of the cross-instance sweep checks: `dk` from 2
+    /// to 256 on unsorted positions of `k + extra_qubits` qubits.
+    fn sweep_cases(rng: &mut TestRng, extra_qubits: usize) -> Vec<Case> {
+        (1..=8)
+            .map(|k| {
+                let dk = 1usize << k;
+                let gate = CMat::from_vec(dk, dk, rng.complexes(dk * dk));
+                let n = k + extra_qubits;
+                (gate, rng.positions(k, n), n)
+            })
+            .collect()
+    }
+
+    /// [`sweep_strided`] on a copy of `data`, with the plan's chunks run
+    /// as the `isa` instance.
+    fn swept(
+        isa: Isa,
+        (gate, positions, n): &Case,
+        view: GateView,
+        data: &[Complex],
+        count: usize,
+        stride: usize,
+        offset_of: impl Fn(usize) -> usize + Sync,
+    ) -> Vec<Complex> {
+        let plan = GatePlan {
+            isa,
+            ..GatePlan::new(positions, *n)
+        };
+        let mut out = data.to_vec();
+        sweep_strided(&plan, gate, view, &mut out, count, stride, offset_of);
+        out
+    }
+
+    const VIEWS: [GateView; 4] = [
+        GateView::AsIs,
+        GateView::Conj,
+        GateView::Adjoint,
+        GateView::Transpose,
+    ];
+
+    // Every sweep shape (factor columns, the dense column and row sweeps
+    // of `conjugate_views`, state vectors) under every gate view gives the
+    // same bits on every instruction-set instance and thread count.
+
+    #[test]
+    fn factor_and_vector_sweeps_agree_across_instruction_sets() {
+        let mut rng = TestRng::new(25);
+        for case in sweep_cases(&mut rng, 1) {
+            let d = 1usize << case.2;
+            let factor = rng.complexes(d * 3);
+            let vector = rng.complexes(d);
+            for view in VIEWS {
+                let what = format!("{:?} of {}, {view:?}", case.1, case.2);
+                assert_every_instance_agrees(&format!("factor, {what}"), |isa| {
+                    swept(isa, &case, view, &factor, 3, 3, |j| j)
+                });
+                assert_every_instance_agrees(&format!("vector, {what}"), |isa| {
+                    swept(isa, &case, view, &vector, 1, 1, |_| 0)
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn dense_row_and_column_sweeps_agree_across_instruction_sets() {
+        let mut rng = TestRng::new(26);
+        for case in sweep_cases(&mut rng, 0) {
+            let d = 1usize << case.2;
+            let m = rng.complexes(d * d);
+            // The strides and offsets of `conjugate_views` on a `d × d`
+            // matrix, over its first (at most) 8 columns and rows: a full
+            // 256-wide dense sweep is 17M multiply-adds per view.
+            let count = d.min(8);
+            for view in VIEWS {
+                let what = format!("{:?} of {}, {view:?}", case.1, case.2);
+                assert_every_instance_agrees(&format!("columns, {what}"), |isa| {
+                    swept(isa, &case, view, &m, count, d, |j| j)
+                });
+                assert_every_instance_agrees(&format!("rows, {what}"), |isa| {
+                    swept(isa, &case, view, &m, count, 1, |i| i * d)
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn sweeps_over_non_finite_inputs_agree_across_instruction_sets() {
+        let mut rng = TestRng::new(27);
+        let specials = [
+            0.0,
+            -0.0,
+            1e-310,
+            -4e-320,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for mut case in sweep_cases(&mut rng, 1).into_iter().take(5) {
+            let mut factor = rng.complexes(2 << case.2);
+            for (t, z) in case.0.as_mut_slice().iter_mut().enumerate().step_by(5) {
+                z.re = specials[t % specials.len()];
+            }
+            for (t, z) in factor.iter_mut().enumerate().step_by(3) {
+                z.im = specials[t % specials.len()];
+            }
+            for view in VIEWS {
+                let what = format!("{:?} of {}, {view:?}", case.1, case.2);
+                assert_every_instance_agrees(&what, |isa| {
+                    swept(isa, &case, view, &factor, 2, 2, |j| j)
+                });
+            }
+        }
+    }
+
+    /// The public sweeps run the host instance: bitwise the baseline.
+    #[test]
+    fn public_sweeps_run_the_host_instance() {
+        let mut rng = TestRng::new(28);
+        let case = (
+            CMat::from_vec(8, 8, rng.complexes(64)),
+            rng.positions(3, 5),
+            5,
+        );
+        let m = CMat::from_vec(32, 32, rng.complexes(32 * 32));
+        let left = swept(
+            Isa::BASELINE,
+            &case,
+            GateView::Adjoint,
+            m.as_slice(),
+            32,
+            32,
+            |j| j,
+        );
+        let want = swept(
+            Isa::BASELINE,
+            &case,
+            GateView::Transpose,
+            &left,
+            32,
+            1,
+            |i| i * 32,
+        );
+        let got = adjoint_conjugate_gate(&case.0, &case.1, case.2, &m);
+        assert_same_bits(&want, got.as_slice(), "adjoint_conjugate_gate");
     }
 
     #[test]

@@ -306,8 +306,8 @@ impl SuperOp {
     /// *permuted* full footprint materialises and caches the embeddings
     /// once) because the dense matmul keeps its sparse zero-skip there.
     ///
-    /// Both routes parallelise *inside* each Kraus term across the
-    /// kernel backend (`nqpv_linalg::par`) when the sweep is large enough
+    /// Both routes parallelise *inside* each Kraus term through
+    /// `nqpv_linalg::par` when the sweep is large enough
     /// and `--kernel-threads` > 1; the `out +=` accumulation across Kraus
     /// operators stays serial and in declaration order, so results are
     /// bitwise identical at every thread count.

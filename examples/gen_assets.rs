@@ -8,14 +8,65 @@
 //! Writes `examples/nqpv_files/{invN,psi,dpost}.npy` (used by the CLI
 //! examples the integration tests drive) and `examples/corpus/{psi,dpost}.npy`
 //! (used by the `nqpv batch` corpus), the 3-qubit Grover operators
-//! behind `tests/golden/diagonal.nqpv`, and the complex-phase diagonal
-//! unitary and full-rank predicate behind `tests/golden/phases.nqpv`. Deterministic output: re-running
-//! produces byte-identical files.
+//! behind `tests/golden/diagonal.nqpv`, the complex-phase diagonal
+//! unitary and full-rank predicate behind `tests/golden/phases.nqpv`, and
+//! the seeded random gates and predicates behind `tests/golden/wide.nqpv`.
+//! Deterministic output: re-running produces byte-identical files.
 
 use nqpv::core::casestudies::{grover_parameters, qwalk_invariant};
 use nqpv::linalg::{c, cr, write_matrix, CMat, CVec, Complex};
 use nqpv::quantum::ket;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::path::Path;
+
+/// A `d`-vector with independent uniform entries in `[-1, 1) + [-1, 1)i`.
+fn random_vec(rng: &mut StdRng, d: usize) -> CVec {
+    CVec::new(
+        (0..d)
+            .map(|_| c(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect(),
+    )
+}
+
+/// A seeded random `d × d` unitary: modified Gram–Schmidt over random
+/// columns, which are linearly independent with probability 1.
+fn random_unitary(rng: &mut StdRng, d: usize) -> CMat {
+    let mut cols: Vec<CVec> = Vec::with_capacity(d);
+    for _ in 0..d {
+        let mut v = random_vec(rng, d);
+        for q in &cols {
+            let proj = q.dot(&v);
+            v = CVec::new(
+                v.as_slice()
+                    .iter()
+                    .zip(q.as_slice())
+                    .map(|(&x, &y)| x - proj * y)
+                    .collect(),
+            );
+        }
+        cols.push(v.normalized());
+    }
+    CMat::from_fn(d, d, |i, j| cols[j][i])
+}
+
+/// A seeded full-rank, non-diagonal `d × d` predicate `I/2 + A/(4‖A‖_F)`
+/// for a random hermitian `A`: its spectrum lies in `[1/4, 3/4]`.
+fn random_mixed_predicate(rng: &mut StdRng, d: usize) -> CMat {
+    let g = CMat::from_fn(d, d, |_, _| {
+        c(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+    });
+    let a = g.add_mat(&g.adjoint());
+    let fro = a
+        .as_slice()
+        .iter()
+        .map(|z| z.norm_sqr())
+        .sum::<f64>()
+        .sqrt();
+    CMat::identity(d)
+        .scale_re(0.5)
+        .add_mat(&a.scale_re(0.25 / fro))
+}
 
 fn main() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -57,6 +108,18 @@ fn main() {
     });
     let mix = CMat::identity(4).scale_re(0.5).add_mat(&a.scale_re(0.125));
 
+    // Dense gates and predicates on 4 qubits, so that the factor sweep
+    // and the dense row/column sweeps run at the full 16×16 gate width: a
+    // random 16×16 unitary, a random 2-qubit unitary, a random rank-1
+    // projector, a full-rank non-diagonal predicate, and 0.2·I on one
+    // qubit (below the predicate's spectrum).
+    let mut rng = StdRng::seed_from_u64(25);
+    let wide_u = random_unitary(&mut rng, 16);
+    let wide_g = random_unitary(&mut rng, 4);
+    let wide_ket = random_vec(&mut rng, 16).normalized().projector();
+    let wide_mix = random_mixed_predicate(&mut rng, 16);
+    let wide_low = CMat::identity(2).scale_re(0.2);
+
     for (dir, files) in [
         (
             "examples/nqpv_files",
@@ -80,6 +143,11 @@ fn main() {
                 ("grover3_pre_high.npy", &pre_high),
                 ("phase2.npy", &phase),
                 ("mix2.npy", &mix),
+                ("wide_u16.npy", &wide_u),
+                ("wide_g2.npy", &wide_g),
+                ("wide_ket.npy", &wide_ket),
+                ("wide_mix.npy", &wide_mix),
+                ("wide_low.npy", &wide_low),
             ],
         ),
     ] {

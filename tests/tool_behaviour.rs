@@ -233,7 +233,7 @@ fn cli_outputs_match_the_golden_fixtures() {
         );
         cases += 1;
     }
-    assert_eq!(cases, 69, "every fixture case ran");
+    assert_eq!(cases, 74, "every fixture case ran");
 }
 
 #[test]
