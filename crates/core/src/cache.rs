@@ -43,7 +43,10 @@ pub trait TransformerCache: Send + Sync {
     /// Looks up the annotated result for `key`, cloning on hit.
     fn get(&self, key: CacheKey) -> Option<Annotated>;
 
-    /// Stores the annotated result computed for `key`.
+    /// Offers the annotated result computed for `key`. An implementation
+    /// may decline to store it (the engine's `MemoCache` admits a key
+    /// only on its second offer), so callers must not assume a later
+    /// `get` hits; a miss just recomputes the same result.
     fn put(&self, key: CacheKey, value: &Annotated);
 
     /// Looks up a memoised `⊑_inf`/`⊑_sup` solver verdict for `key` — the

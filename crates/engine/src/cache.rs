@@ -3,7 +3,10 @@
 //! solver verdicts — shared by every worker of a batch, with an optional
 //! LRU size bound per tier (`nqpv batch --cache-cap N`) and an optional
 //! persistent [`DiskCache`] layered under the verdict tier
-//! (`--cache-dir DIR`) so warm verdicts survive restarts.
+//! (`--cache-dir DIR`) so warm verdicts survive restarts. The transformer
+//! tier admits a subterm result only on the second sighting of its key
+//! (a fixed-size doorkeeper), so a corpus of distinct jobs stores
+//! nothing there.
 
 use crate::disk::DiskCache;
 use nqpv_core::{Annotated, CacheKey, TransformerCache};
@@ -134,6 +137,53 @@ impl<V: Clone> Tier<V> {
     }
 }
 
+/// Slots in the transformer tier's [`Doorkeeper`]: 2¹⁴ keys of 16 bytes,
+/// 256 KiB per [`MemoCache`].
+const DOORKEEPER_SLOTS: usize = 1 << 14;
+
+/// The admission filter of TinyLFU (Einziger et al., 2017) in its
+/// simplest form: a direct-mapped table remembering the last key offered
+/// to each slot. A key is admitted only when its slot already holds it,
+/// i.e. on its second sighting with no colliding key offered in between.
+/// The table is allocated zeroed, so a key of exactly 0 counts as seen;
+/// keys are 128-bit content hashes, which makes that moot.
+struct Doorkeeper {
+    slots: Box<[CacheKey]>,
+}
+
+impl Doorkeeper {
+    fn new() -> Self {
+        Doorkeeper {
+            slots: vec![0; DOORKEEPER_SLOTS].into_boxed_slice(),
+        }
+    }
+
+    /// True when `key` was the last key offered to its slot; otherwise
+    /// remembers `key` there and returns false.
+    fn admit(&mut self, key: CacheKey) -> bool {
+        let slot = &mut self.slots[key as usize % DOORKEEPER_SLOTS];
+        if *slot == key {
+            return true;
+        }
+        *slot = key;
+        false
+    }
+}
+
+impl std::fmt::Debug for Doorkeeper {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Doorkeeper({} slots)", self.slots.len())
+    }
+}
+
+/// The transformer tier: an LRU [`Tier`] behind a [`Doorkeeper`], both
+/// under one mutex.
+#[derive(Debug)]
+struct TransformerTier {
+    lru: Tier<Annotated>,
+    doorkeeper: Doorkeeper,
+}
+
 /// Content-addressed, thread-safe memo store for backward-transformer
 /// subterm results *and* solver verdicts — one instance is shared (via
 /// `Arc`) by every worker of a batch run.
@@ -142,13 +192,23 @@ impl<V: Clone> Tier<V> {
 /// values are cloned out, never borrowed), so workers contend only for
 /// map access, not for verification work. The two tiers use separate
 /// locks: a worker resolving a verdict never blocks one storing a
-/// subterm. With [`MemoCache::with_capacity`] each tier evicts its least
-/// recently used entry once it holds more than `cap` entries, bounding
-/// resident memory on long corpus runs; eviction counts surface in
-/// [`CacheStats`].
+/// subterm.
+///
+/// The transformer tier stores a subterm result only when its key is
+/// offered a second time: the first `put` of a key just records it in a
+/// fixed table of 2¹⁴ recent keys (256 KiB), and a later `put` of
+/// the same key (after a miss on recomputation) admits it. A corpus of
+/// distinct jobs therefore keeps no subterm results at all, while a
+/// program verified a third time hits. A declined `put` only costs a
+/// deterministic recomputation, so verdicts and result bits never depend
+/// on it. The verdict tier admits every `put`.
+///
+/// With [`MemoCache::with_capacity`] each tier also evicts its least
+/// recently used entry once it holds more than `cap` entries; eviction
+/// counts surface in [`CacheStats`].
 #[derive(Debug)]
 pub struct MemoCache {
-    map: Mutex<Tier<Annotated>>,
+    map: Mutex<TransformerTier>,
     hits: AtomicU64,
     misses: AtomicU64,
     verdicts: Mutex<Tier<Verdict>>,
@@ -164,7 +224,7 @@ impl Default for MemoCache {
 }
 
 impl MemoCache {
-    /// An empty, unbounded cache.
+    /// An empty cache with no LRU bound.
     pub fn new() -> Self {
         MemoCache::layered(None, None)
     }
@@ -186,7 +246,10 @@ impl MemoCache {
     /// persistence first.
     pub fn layered(cap: Option<usize>, disk: Option<Arc<DiskCache>>) -> Self {
         MemoCache {
-            map: Mutex::new(Tier::new(cap)),
+            map: Mutex::new(TransformerTier {
+                lru: Tier::new(cap),
+                doorkeeper: Doorkeeper::new(),
+            }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             verdicts: Mutex::new(Tier::new(cap)),
@@ -206,7 +269,7 @@ impl MemoCache {
     pub fn stats(&self) -> CacheStats {
         let (entries, evictions) = {
             let t = self.map.lock().unwrap_or_else(|e| e.into_inner());
-            (t.len() as u64, t.evictions)
+            (t.lru.len() as u64, t.lru.evictions)
         };
         let (verdict_entries, verdict_evictions) = {
             let t = self.verdicts.lock().unwrap_or_else(|e| e.into_inner());
@@ -288,7 +351,12 @@ pub fn record_cache_metrics(stats: &CacheStats) {
 
 impl TransformerCache for MemoCache {
     fn get(&self, key: CacheKey) -> Option<Annotated> {
-        let found = self.map.lock().unwrap_or_else(|e| e.into_inner()).get(key);
+        let found = self
+            .map
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .lru
+            .get(key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -297,10 +365,10 @@ impl TransformerCache for MemoCache {
     }
 
     fn put(&self, key: CacheKey, value: &Annotated) {
-        self.map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .put(key, value.clone());
+        let mut t = self.map.lock().unwrap_or_else(|e| e.into_inner());
+        if t.doorkeeper.admit(key) {
+            t.lru.put(key, value.clone());
+        }
     }
 
     fn get_verdict(&self, key: CacheKey) -> Option<Verdict> {
@@ -353,6 +421,57 @@ mod tests {
     use nqpv_quantum::{OperatorLibrary, Register};
     use std::collections::HashMap;
 
+    /// The annotated pass of a small composite program, computed without
+    /// a cache: a value to offer the transformer tier directly.
+    fn sample_annotated() -> nqpv_core::Annotated {
+        let lib = OperatorLibrary::with_builtins();
+        let reg = Register::new(&["q"]).unwrap();
+        let stmt = parse_stmt("( [q] *= H; [q] *= X # skip )").unwrap();
+        let post = Assertion::from_ops(2, vec![nqpv_quantum::ket("0").projector()]).unwrap();
+        let none = HashMap::new();
+        backward_with_cache(&stmt, &post, &lib, &reg, VcOptions::default(), &none, None).unwrap()
+    }
+
+    fn assert_same_bits(a: &nqpv_core::Annotated, b: &nqpv_core::Annotated) {
+        assert_eq!(a.pre.ops().len(), b.pre.ops().len());
+        for (x, y) in a.pre.ops().iter().zip(b.pre.ops()) {
+            assert!(x.approx_eq(y.dense(), 0.0), "cached pre must be exact");
+        }
+    }
+
+    #[test]
+    fn first_put_is_declined_and_second_is_admitted() {
+        let cache = MemoCache::new();
+        let ann = sample_annotated();
+        const KEY: CacheKey = 0x5eed_0000_0000_0000_0000_0000_0000_0001;
+        cache.put(KEY, &ann);
+        assert_eq!(cache.stats().entries, 0, "first sighting stores nothing");
+        assert!(cache.get(KEY).is_none());
+        cache.put(KEY, &ann);
+        assert_eq!(cache.stats().entries, 1, "second sighting is admitted");
+        let hit = cache.get(KEY).expect("admitted entry must hit");
+        assert_same_bits(&ann, &hit);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn a_flood_of_distinct_keys_stores_nothing() {
+        let cache = MemoCache::new();
+        let ann = sample_annotated();
+        // An odd multiplier is a bijection on u128, so the keys are
+        // distinct (and nonzero for i ≥ 1), spread like content hashes.
+        for i in 1..=(4 * DOORKEEPER_SLOTS) as u128 {
+            cache.put(
+                i.wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835),
+                &ann,
+            );
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.entries, 0, "{stats:?}");
+        assert_eq!(stats.evictions, 0, "{stats:?}");
+    }
+
     #[test]
     fn repeated_backward_passes_hit_the_cache() {
         let cache = MemoCache::new();
@@ -362,18 +481,24 @@ mod tests {
         let post = Assertion::identity(2);
         let opts = VcOptions::default();
         let none = HashMap::new();
-        let a = backward_with_cache(&stmt, &post, &lib, &reg, opts, &none, Some(&cache)).unwrap();
+        let pass =
+            || backward_with_cache(&stmt, &post, &lib, &reg, opts, &none, Some(&cache)).unwrap();
+        let a = pass();
         let first = cache.stats();
         assert_eq!(first.hits, 0);
-        assert!(first.entries > 0, "composite nodes must be stored");
-        let b = backward_with_cache(&stmt, &post, &lib, &reg, opts, &none, Some(&cache)).unwrap();
+        assert!(first.misses > 0, "composite nodes must be looked up");
+        assert_eq!(first.entries, 0, "first sighting stores nothing: {first:?}");
+        let b = pass();
         let second = cache.stats();
-        assert!(second.hits >= 1, "identical pass must hit: {second:?}");
+        assert_eq!(second.hits, 0, "nothing was stored to hit: {second:?}");
+        assert!(second.entries > 0, "second sighting must admit: {second:?}");
+        let c = pass();
+        let third = cache.stats();
+        assert!(third.hits >= 1, "identical pass must hit: {third:?}");
+        assert_eq!(third.entries, second.entries, "{third:?}");
         // Cached and computed results are bit-identical.
-        assert_eq!(a.pre.ops().len(), b.pre.ops().len());
-        for (x, y) in a.pre.ops().iter().zip(b.pre.ops()) {
-            assert!(x.approx_eq(y.dense(), 0.0), "cached pre must be exact");
-        }
+        assert_same_bits(&a, &b);
+        assert_same_bits(&a, &c);
     }
 
     #[test]
@@ -386,8 +511,14 @@ mod tests {
         let none = HashMap::new();
         let p0 = Assertion::from_ops(2, vec![nqpv_quantum::ket("0").projector()]).unwrap();
         let pp = Assertion::from_ops(2, vec![nqpv_quantum::ket("+").projector()]).unwrap();
-        let a = backward_with_cache(&stmt, &p0, &lib, &reg, opts, &none, Some(&cache)).unwrap();
-        let b = backward_with_cache(&stmt, &pp, &lib, &reg, opts, &none, Some(&cache)).unwrap();
+        // Each pass runs twice so that the doorkeeper admits its result.
+        let pass = |post: &Assertion| {
+            backward_with_cache(&stmt, post, &lib, &reg, opts, &none, Some(&cache)).unwrap()
+        };
+        let a = pass(&p0);
+        let b = pass(&pp);
+        pass(&p0);
+        pass(&pp);
         let stats = cache.stats();
         assert_eq!(stats.hits, 0, "distinct posts must not collide: {stats:?}");
         assert_eq!(stats.entries, 2);
@@ -428,9 +559,9 @@ mod tests {
         assert!(second.status.verified());
         let after_second = cache.stats();
         // Every second-round ⊑_inf query is answered from the verdict tier
-        // (the transformer tier already short-circuits the subterm pass, so
-        // at minimum the final precondition comparison re-runs): hits grow,
-        // misses and entries do not.
+        // (the transformer tier stored nothing on the first sighting, so
+        // the loop's side condition and the final comparison both re-run):
+        // hits grow, misses and entries do not.
         assert!(
             after_second.verdict_hits > after_first.verdict_hits,
             "second pass must hit the verdict cache: {after_second:?}"
@@ -553,15 +684,23 @@ mod tests {
         const THREADS: usize = 8;
         const OPS: usize = 400;
         const CAP: usize = 4;
+        // Transformer-tier traffic rides along on every 7th operation.
+        const EVERY: usize = 7;
 
         let cache = Arc::new(MemoCache::with_capacity(CAP));
+        let ann = sample_annotated();
         let seen_hits = Arc::new(AtomicU64::new(0));
         let seen_misses = Arc::new(AtomicU64::new(0));
+        let seen_t_hits = Arc::new(AtomicU64::new(0));
+        let seen_t_misses = Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let cache = Arc::clone(&cache);
+                let ann = ann.clone();
                 let seen_hits = Arc::clone(&seen_hits);
                 let seen_misses = Arc::clone(&seen_misses);
+                let seen_t_hits = Arc::clone(&seen_t_hits);
+                let seen_t_misses = Arc::clone(&seen_t_misses);
                 scope.spawn(move || {
                     // Deterministic per-thread key walk over a keyspace
                     // (3·CAP) wide enough to force constant eviction.
@@ -580,9 +719,19 @@ mod tests {
                             }
                         };
                         // Interleave transformer-tier traffic through the
-                        // *other* lock to exercise both mutexes at once.
-                        if i % 7 == 0 {
-                            let _ = cache.get(key);
+                        // *other* lock to exercise both mutexes at once:
+                        // miss-then-put, as the backward pass does, with
+                        // the doorkeeper deciding which puts are stored.
+                        if i % EVERY == 0 {
+                            match cache.get(key) {
+                                Some(_) => seen_t_hits.fetch_add(1, Ordering::Relaxed),
+                                None => {
+                                    cache.put(key, &ann);
+                                    let entries = cache.stats().entries;
+                                    assert!(entries <= CAP as u64, "tier over cap: {entries}");
+                                    seen_t_misses.fetch_add(1, Ordering::Relaxed)
+                                }
+                            };
                         }
                     }
                 });
@@ -605,9 +754,22 @@ mod tests {
             "every resident or evicted entry came from a miss-then-put: {stats:?}"
         );
         assert!(stats.verdict_evictions > 0, "keyspace must overflow CAP");
-        // The transformer tier took lookups but no inserts.
-        assert_eq!(stats.entries, 0);
-        assert!(stats.misses > 0);
+        // The same accounting holds for the transformer tier. Its 12 keys
+        // fall in distinct doorkeeper slots, so any key put twice is
+        // admitted, and with more puts than keys some key must be.
+        assert_eq!(
+            stats.hits + stats.misses,
+            (THREADS * OPS.div_ceil(EVERY)) as u64,
+            "{stats:?}"
+        );
+        assert_eq!(stats.hits, seen_t_hits.load(Ordering::Relaxed));
+        assert_eq!(stats.misses, seen_t_misses.load(Ordering::Relaxed));
+        assert!(stats.entries <= CAP as u64, "{stats:?}");
+        assert!(
+            stats.entries + stats.evictions <= stats.misses,
+            "every resident or evicted entry came from a miss-then-put: {stats:?}"
+        );
+        assert!(stats.entries + stats.evictions > 0, "{stats:?}");
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   threads over the job queue ([`BatchOptions::jobs`]); every `Session`
 //!   run is independent, so jobs parallelise embarrassingly.
 //! * **Cache** — [`MemoCache`] is a content-addressed, thread-safe memo
-//!   store implementing [`nqpv_core::TransformerCache`]: backward-pass
-//!   results for repeated `(subterm, postcondition)` pairs are computed
-//!   once per corpus and shared across all workers.
+//!   store implementing [`nqpv_core::TransformerCache`], shared across all
+//!   workers. Solver verdicts are stored on first computation;
+//!   backward-pass results for a `(subterm, postcondition)` pair are
+//!   stored once the pair recurs (second sighting), so a corpus of
+//!   distinct jobs keeps none of them.
 //!
 //! Results come back as a structured [`BatchReport`] — per-job
 //! [`JobStatus`], wall-clock timings, and cache hit rates — serialisable

@@ -29,9 +29,9 @@ pub struct BatchOptions {
     pub vc: VcOptions,
     /// Whether to share a [`MemoCache`] across the run.
     pub use_cache: bool,
-    /// Optional LRU bound (entries **per cache tier**); `None` leaves the
-    /// shared cache unbounded. Evictions are reported in
-    /// [`crate::CacheStats`].
+    /// Optional LRU bound (entries **per cache tier**); `None` sets no
+    /// entry bound (the transformer tier still stores only recurring
+    /// subterms). Evictions are reported in [`crate::CacheStats`].
     pub cache_cap: Option<usize>,
     /// Optional persistent verdict store layered under the shared cache
     /// (see [`crate::DiskCache`]); ignored when `use_cache` is off.
@@ -651,8 +651,11 @@ mod tests {
 
     #[test]
     fn duplicate_jobs_yield_cache_hits_and_identical_verdicts() {
+        // The transformer tier admits a subterm on its second sighting,
+        // so the third copy is the first that can hit it.
+        let copies = Corpus::from_sources(vec![("ok", OK), ("ok_2", OK), ("ok_3", OK)]);
         let report = run_batch(
-            &corpus(),
+            &copies,
             &BatchOptions {
                 jobs: 1,
                 ..BatchOptions::default()
@@ -660,22 +663,60 @@ mod tests {
         );
         let stats = report.cache.expect("cache enabled by default");
         assert!(
-            stats.hits > 0,
-            "verifying the same program twice must hit the memo cache: {stats:?}"
+            stats.hits >= 1,
+            "verifying the same program three times must hit the memo cache: {stats:?}"
         );
         assert!(
             stats.verdict_hits > 0,
             "repeated ⊑_inf queries within a batch must hit the verdict cache: {stats:?}"
         );
-        let ok_jobs: Vec<_> = report
+        assert_eq!(report.jobs.len(), 3);
+        assert!(report
             .jobs
             .iter()
-            .filter(|j| j.name.starts_with("ok"))
-            .collect();
-        assert_eq!(ok_jobs.len(), 2);
-        assert!(ok_jobs
-            .iter()
             .all(|j| matches!(j.status, JobStatus::Verified { .. })));
+    }
+
+    #[test]
+    fn distinct_jobs_store_no_subterms_and_keep_their_verdicts() {
+        // 60 distinct programs: three one-qubit gates in a flat sequence
+        // (one composite subterm per job) from four preconditions, so no
+        // subterm key is offered twice and the doorkeeper admits nothing.
+        const GATES: [&str; 6] = ["H", "X", "Y", "Z", "S", "T"];
+        const PRES: [&str; 4] = ["P0", "P1", "Pp", "I"];
+        let sources: Vec<(String, String)> = (0..60)
+            .map(|i| {
+                let gates: Vec<String> = [i % 6, i / 6 % 6, i / 36]
+                    .iter()
+                    .map(|&g| format!("[q] *= {};", GATES[g]))
+                    .collect();
+                let src = format!(
+                    "def pf := proof [q] : {{ {}[q] }}; {} {{ P0[q] }} end",
+                    PRES[i % 4],
+                    gates.join(" ")
+                );
+                (format!("job{i:02}"), src)
+            })
+            .collect();
+        let corpus = Corpus::from_sources(sources);
+        let cached = run_batch(&corpus, &BatchOptions::default());
+        let stats = cached.cache.expect("cache enabled by default");
+        assert_eq!(stats.entries, 0, "{stats:?}");
+        assert!(stats.misses >= 60, "every job looks its body up: {stats:?}");
+        let uncached = run_batch(
+            &corpus,
+            &BatchOptions {
+                use_cache: false,
+                ..BatchOptions::default()
+            },
+        );
+        assert_eq!(cached.jobs.len(), 60);
+        assert!(cached.verified_jobs() > 0 && cached.rejected_jobs() > 0);
+        for (a, b) in cached.jobs.iter().zip(&uncached.jobs) {
+            assert_eq!(a.name, b.name);
+            // `JobStatus` equality covers the error text and proofs too.
+            assert_eq!(a.status, b.status, "{}", a.name);
+        }
     }
 
     #[test]

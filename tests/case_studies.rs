@@ -167,6 +167,15 @@ fn e6_grover_verifies_and_derives_success_probability() {
     }
 }
 
+/// Pins the bits of the computed `p·I` precondition of an init-first
+/// Grover proof, n = 1..=9: a guard on how operators are stored and
+/// composed, not on the bits of the linalg kernels. A fused multiply-add
+/// in the wide sweep and matmul instances leaves these hashes unchanged.
+/// The kernel bits are guarded by the cross-ISA unit tests in
+/// `nqpv-linalg` (`tensor`'s `*_agree_across_instruction_sets` and
+/// `matrix`'s `products_agree_across_instruction_sets`) and by the bitwise
+/// tests in `crates/linalg/tests/par_properties.rs` (e.g.
+/// `blocked_matmul_matches_naive_reference_bitwise`).
 #[test]
 fn e6_grover_computed_preconditions_keep_their_bits() {
     // FNV-1a of the re/im bits of the computed precondition's dense form,
