@@ -23,10 +23,52 @@ use nqpv_engine::{run_batch, BatchOptions, Corpus, DiskCache};
 use nqpv_lang::parse_source;
 use nqpv_service::{serve_blocking, Client, Event, Request, RetryPolicy, ServeOptions};
 use nqpv_telemetry::json_string;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Set once stdout's reader has gone; later output is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout and flushes, returning `false` once stdout's reader
+/// has gone. A reader that closes its end early (`nqpv ops | head -1`)
+/// ends the output quietly: the `BrokenPipe` write and every later one
+/// are dropped, and the command still finishes with its own exit code.
+/// Any other write error is reported on stderr and exits with 2.
+fn write_out(args: std::fmt::Arguments) -> bool {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return false;
+    }
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        Ok(()) => true,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            false
+        }
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// `print!` through [`write_out`].
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        write_out(format_args!($($arg)*));
+    }};
+}
+
+/// `println!` through [`write_out`].
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        write_out(format_args!("{}\n", format_args!($($arg)*)));
+    }};
+}
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -70,7 +112,7 @@ fn cmd_check(path: &str) -> ExitCode {
     };
     match parse_source(&src) {
         Ok(file) => {
-            println!("OK: {} command(s)", file.commands.len());
+            outln!("OK: {} command(s)", file.commands.len());
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -100,11 +142,11 @@ fn cmd_verify(path: &str, show: Option<&str>, infer: bool) -> ExitCode {
         return ExitCode::from(2);
     }
     for text in session.output() {
-        println!("{text}");
+        outln!("{text}");
     }
     if let Some(name) = show {
         match session.show(name) {
-            Ok(text) => println!("{text}"),
+            Ok(text) => outln!("{text}"),
             Err(e) => {
                 eprintln!("{e}");
                 return ExitCode::from(2);
@@ -116,9 +158,9 @@ fn cmd_verify(path: &str, show: Option<&str>, infer: bool) -> ExitCode {
     let mut all_ok = true;
     for (name, verified) in session.proof_verdicts() {
         if *verified {
-            println!("proof '{name}': verified");
+            outln!("proof '{name}': verified");
         } else {
-            println!("proof '{name}': REJECTED");
+            outln!("proof '{name}': REJECTED");
             all_ok = false;
         }
     }
@@ -254,17 +296,17 @@ fn cmd_explain(rest: &[String], infer: bool) -> ExitCode {
             all_ok &= d.verified;
         }
         out.push_str("]}");
-        println!("{out}");
+        outln!("{out}");
     } else {
         for d in &report {
             if d.verified {
-                println!("proof '{}': verified (no counterexample)", d.name);
+                outln!("proof '{}': verified (no counterexample)", d.name);
             } else {
                 all_ok = false;
-                println!("proof '{}': REJECTED", d.name);
+                outln!("proof '{}': REJECTED", d.name);
                 match &d.counterexample {
-                    Some(cex) => print!("{}", cex.human()),
-                    None => println!("  (comparison unresolved — no witness extracted)"),
+                    Some(cex) => out!("{}", cex.human()),
+                    None => outln!("  (comparison unresolved — no witness extracted)"),
                 }
             }
         }
@@ -428,9 +470,9 @@ fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
         }
     }
     if json {
-        print!("{}", report.to_json());
+        out!("{}", report.to_json());
     } else {
-        print!("{}", report.human_summary());
+        out!("{}", report.human_summary());
     }
     if report.all_verified() {
         ExitCode::SUCCESS
@@ -583,7 +625,7 @@ fn cmd_client(rest: &[String]) -> ExitCode {
                 }
             };
             client.shutdown_with(drain).map(|()| {
-                println!("{}", Event::ShuttingDown.to_line());
+                outln!("{}", Event::ShuttingDown.to_line());
                 ExitCode::SUCCESS
             })
         }
@@ -604,7 +646,7 @@ fn cmd_client(rest: &[String]) -> ExitCode {
 /// Sends one request, echoes the reply line.
 fn client_oneshot(client: &mut Client, req: &Request) -> std::io::Result<ExitCode> {
     let reply = client.request(req)?;
-    println!("{}", reply.to_line());
+    outln!("{}", reply.to_line());
     Ok(match reply {
         Event::Error { .. } => ExitCode::from(2),
         _ => ExitCode::SUCCESS,
@@ -716,7 +758,7 @@ fn client_submit(client: &mut Client, rest: &[String]) -> std::io::Result<ExitCo
                         .iter()
                         .map(|(id, name)| format!("{{\"id\":{id},\"name\":{}}}", json_string(name)))
                         .collect();
-                    println!("{{\"event\":\"accepted\",\"jobs\":[{}]}}", ids.join(","));
+                    outln!("{{\"event\":\"accepted\",\"jobs\":[{}]}}", ids.join(","));
                     pending.extend(accepted.iter().map(|(id, _)| *id));
                     names.extend(accepted);
                 }
@@ -744,7 +786,7 @@ fn client_submit(client: &mut Client, rest: &[String]) -> std::io::Result<ExitCo
             eprintln!("error: daemon closed the connection early");
             return Ok(ExitCode::from(2));
         };
-        println!("{}", event.to_line());
+        outln!("{}", event.to_line());
         if let Event::Verdict(v) = event {
             if pending.remove(&v.id) && v.status != "verified" {
                 all_verified = false;
@@ -782,9 +824,11 @@ fn client_submit(client: &mut Client, rest: &[String]) -> std::io::Result<ExitCo
 /// the daemon goes away.
 fn client_watch(client: &mut Client) -> std::io::Result<ExitCode> {
     let reply = client.request(&Request::Watch)?;
-    println!("{}", reply.to_line());
+    outln!("{}", reply.to_line());
     while let Some(event) = client.next_event()? {
-        println!("{}", event.to_line());
+        if !write_out(format_args!("{}\n", event.to_line())) {
+            break;
+        }
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -799,7 +843,7 @@ fn cmd_ops() -> ExitCode {
     names.sort_unstable();
     for n in names {
         if let Ok(text) = session.show(n) {
-            println!("{text}");
+            outln!("{text}");
         }
     }
     ExitCode::SUCCESS

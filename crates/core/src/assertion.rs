@@ -34,15 +34,15 @@
 
 use nqpv_lang::AssertionExpr;
 use nqpv_linalg::{
-    adjoint_conjugate_diagonal, adjoint_conjugate_gate, apply_diagonal_columns_adjoint,
-    apply_gate_columns, apply_gate_columns_adjoint, conjugate_gate, deposit_bits, diagonal_is_psd,
+    adjoint_conjugate_diagonal, apply_diagonal_columns_adjoint, deposit_bits, diagonal_is_psd,
     embed, embed_diagonal, embed_factor, exact_diagonal, factor_recompress, gram, hconcat, CMat,
-    Complex, Structure,
+    Complex, GatePlan, Structure,
 };
 use nqpv_quantum::{OperatorLibrary, Register, SuperOp, Unitary};
 use nqpv_solver::{
     assertion_le, diagonal_assertion_le, factored_lowner_le, LownerOptions, Verdict,
 };
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::fmt;
 use std::ops::Deref;
@@ -568,6 +568,10 @@ impl Assertion {
     /// bitwise equal to the sweeps; diagonal predicates still come out
     /// dense.
     pub fn wp_unitary(&self, u: &Unitary, positions: &[usize], n: usize) -> Assertion {
+        // One index plan serves every predicate of the set, built only
+        // for a gate that is not an exact diagonal.
+        let plan = OnceCell::new();
+        let plan = || plan.get_or_init(|| GatePlan::new(positions, n));
         Assertion {
             dim: self.dim,
             ops: self
@@ -578,16 +582,14 @@ impl Assertion {
                         let mut v = f.v.clone();
                         match diagonal {
                             Some(d) => apply_diagonal_columns_adjoint(d, positions, n, &mut v),
-                            None => apply_gate_columns_adjoint(u, positions, n, &mut v),
+                            None => plan().apply_columns_adjoint(u, &mut v),
                         }
                         Predicate::Factored(Factor::new(v))
                     }
                     (_, Some(d)) => {
                         Predicate::Dense(adjoint_conjugate_diagonal(d, positions, n, p.dense()))
                     }
-                    (_, None) => {
-                        Predicate::Dense(adjoint_conjugate_gate(u, positions, n, p.dense()))
-                    }
+                    (_, None) => Predicate::Dense(plan().adjoint_conjugate(u, p.dense())),
                 })
                 .collect(),
         }
@@ -600,6 +602,8 @@ impl Assertion {
     /// the factor columns (`P(VV†)P = (PV)(PV)†`) and re-truncate — a
     /// projector can only shrink the rank.
     pub fn sandwich_local(&self, p: &CMat, positions: &[usize], n: usize) -> Assertion {
+        // One index plan serves every predicate of the set.
+        let plan = GatePlan::new(positions, n);
         Assertion {
             dim: self.dim,
             ops: self
@@ -607,11 +611,11 @@ impl Assertion {
                 .iter()
                 .map(|pred| match pred {
                     Predicate::Dense(_) | Predicate::Diagonal(_) => {
-                        Predicate::Dense(conjugate_gate(p, positions, n, pred.dense()))
+                        Predicate::Dense(plan.conjugate(p, pred.dense()))
                     }
                     Predicate::Factored(f) => {
                         let mut v = f.v.clone();
-                        apply_gate_columns(p, positions, n, &mut v);
+                        plan.apply_columns(p, &mut v);
                         Predicate::Factored(Factor::new(factor_recompress(&v)))
                     }
                 })
@@ -967,6 +971,7 @@ impl fmt::Display for Assertion {
 mod tests {
     use super::*;
     use nqpv_lang::OpApp;
+    use nqpv_linalg::{apply_gate_columns, conjugate_gate};
     use nqpv_quantum::ket;
 
     fn reg2() -> Register {

@@ -13,10 +13,21 @@
 //! * the verification options (mode, set bound, solver tolerances).
 //!
 //! [`TransformerCache`] abstracts a content-addressed store over exactly
-//! that key. `nqpv-core` stays dependency-free: it only *consults* a cache
-//! handed in by the caller (see [`crate::backward_with_cache`]); the
-//! concurrent implementation with hit/miss accounting lives in
-//! `nqpv-engine`.
+//! that key. The backward pass builds it in two steps, each once per
+//! pass. When a cache is present, tagging the program gives every
+//! composite statement a digest, bottom-up. A digest hashes the node's
+//! kind, names, qubits and tags, its leaf children inline, and its
+//! composite children by their own digests. Every operator enters it as
+//! its library entry's lazily computed digest of exact matrix bits,
+//! which is computed on first use and never when the operator is bound.
+//! A subterm's key then hashes the context key, the node's digest and
+//! the postcondition's exact bits. No key rehashes a subtree or an
+//! operator matrix, and keys separate exactly what hashing the whole
+//! serialised subterm would.
+//!
+//! `nqpv-core` stays dependency-free: it only *consults* a cache handed
+//! in by the caller (see [`crate::backward_with_cache`]); the concurrent
+//! implementation with hit/miss accounting lives in `nqpv-engine`.
 //!
 //! Correctness note: results for subterms containing `while` are only
 //! cached in partial-correctness mode — in total mode loop verification

@@ -290,7 +290,7 @@ impl Session {
         if let Some(op) = self.lib.get(name) {
             return Ok(match op {
                 nqpv_quantum::LibOp::Unitary(u) => render_matrix(name, u),
-                nqpv_quantum::LibOp::Predicate(m, _) => render_matrix(name, m),
+                nqpv_quantum::LibOp::Predicate(m, ..) => render_matrix(name, m),
                 nqpv_quantum::LibOp::Measurement(meas) => {
                     format!("{name}.P0 =\n{}\n{name}.P1 =\n{}", meas.p0(), meas.p1())
                 }

@@ -209,7 +209,7 @@ pub fn backward_with_cache(
         ctx_key: context_key(reg, opts),
         path: Vec::new(),
     };
-    let tagged = tag_loops(stmt, &mut ctx.next_loop_id);
+    let tagged = ctx.tag(stmt);
     ctx.go(&tagged, post)
 }
 
@@ -254,20 +254,23 @@ pub fn precondition(
     Ok(backward(stmt, post, lib, reg, opts, rankings)?.pre)
 }
 
-/// Internal statement tree with pre-order loop ids.
+/// Internal statement tree with pre-order loop ids. With a memo cache,
+/// every composite node also carries its digest (see [`Ctx::tag`]);
+/// without one the digests are 0 and never read.
 enum TStmt {
     Skip,
     Abort,
     Assert(AssertionExpr),
     Init(Vec<String>),
     Unitary(Vec<String>, String),
-    Seq(Vec<TStmt>),
-    NDet(Box<TStmt>, Box<TStmt>),
+    Seq(Vec<TStmt>, CacheKey),
+    NDet(Box<TStmt>, Box<TStmt>, CacheKey),
     If {
         meas: String,
         qubits: Vec<String>,
         then_branch: Box<TStmt>,
         else_branch: Box<TStmt>,
+        digest: CacheKey,
     },
     While {
         meas: String,
@@ -275,49 +278,27 @@ enum TStmt {
         invariant: Option<AssertionExpr>,
         loop_id: usize,
         body: Box<TStmt>,
+        digest: CacheKey,
     },
 }
 
-fn tag_loops(stmt: &Stmt, counter: &mut usize) -> TStmt {
-    match stmt {
-        Stmt::Skip => TStmt::Skip,
-        Stmt::Abort => TStmt::Abort,
-        Stmt::Assert(a) => TStmt::Assert(a.clone()),
-        Stmt::Init { qubits } => TStmt::Init(qubits.clone()),
-        Stmt::Unitary { qubits, op } => TStmt::Unitary(qubits.clone(), op.clone()),
-        Stmt::Seq(items) => TStmt::Seq(items.iter().map(|s| tag_loops(s, counter)).collect()),
-        Stmt::NDet(a, b) => TStmt::NDet(
-            Box::new(tag_loops(a, counter)),
-            Box::new(tag_loops(b, counter)),
-        ),
-        Stmt::If {
-            meas,
-            qubits,
-            then_branch,
-            else_branch,
-        } => TStmt::If {
-            meas: meas.clone(),
-            qubits: qubits.clone(),
-            then_branch: Box::new(tag_loops(then_branch, counter)),
-            else_branch: Box::new(tag_loops(else_branch, counter)),
-        },
-        Stmt::While {
-            meas,
-            qubits,
-            invariant,
-            body,
-        } => {
-            let loop_id = *counter;
-            *counter += 1;
-            TStmt::While {
-                meas: meas.clone(),
-                qubits: qubits.clone(),
-                invariant: invariant.clone(),
-                loop_id,
-                body: Box::new(tag_loops(body, counter)),
-            }
+impl TStmt {
+    /// The digest of a composite node; `None` for a leaf.
+    fn digest(&self) -> Option<CacheKey> {
+        match self {
+            TStmt::Seq(_, digest)
+            | TStmt::NDet(_, _, digest)
+            | TStmt::If { digest, .. }
+            | TStmt::While { digest, .. } => Some(*digest),
+            _ => None,
         }
     }
+}
+
+/// Feeds a 128-bit key or digest into `h`.
+fn write_key(h: &mut KeyHasher, key: CacheKey) {
+    h.write_u64((key >> 64) as u64);
+    h.write_u64(key as u64);
 }
 
 struct Ctx<'a> {
@@ -443,22 +424,19 @@ impl Ctx<'_> {
     /// nodes only, and loop-bearing subterms only in partial mode (total
     /// mode consults ranking certificates outside the cache key).
     fn cacheable(&self, stmt: &TStmt) -> bool {
-        let composite = matches!(
-            stmt,
-            TStmt::Seq(_) | TStmt::NDet(_, _) | TStmt::If { .. } | TStmt::While { .. }
-        );
-        composite && (self.opts.mode == Mode::Partial || !contains_while(stmt))
+        stmt.digest().is_some() && (self.opts.mode == Mode::Partial || !contains_while(stmt))
     }
 
     /// Content key of `(subterm, postcondition)` under the run context:
-    /// structure plus every referenced operator resolved to exact matrix
-    /// bits, so renamed-but-identical and identical-by-content subterms
-    /// share entries while any numerical difference separates them.
+    /// the composite subterm's digest (its structure, with every
+    /// referenced operator resolved to the digest of its exact matrix
+    /// bits; see [`Ctx::tag`]) plus the postcondition's exact bits, so
+    /// identical-by-content subterms share entries while any numerical
+    /// difference separates them.
     fn subterm_key(&self, stmt: &TStmt, post: &Assertion) -> CacheKey {
         let mut h = KeyHasher::new();
-        h.write_u64((self.ctx_key >> 64) as u64);
-        h.write_u64(self.ctx_key as u64);
-        self.hash_stmt(&mut h, stmt);
+        write_key(&mut h, self.ctx_key);
+        write_key(&mut h, stmt.digest().unwrap_or_default());
         h.write_usize(post.dim());
         h.write_usize(post.len());
         for m in post.ops() {
@@ -467,21 +445,111 @@ impl Ctx<'_> {
         h.finish()
     }
 
-    fn hash_expr(&self, h: &mut KeyHasher, expr: &AssertionExpr) {
-        h.write_usize(expr.terms.len());
-        for term in &expr.terms {
-            h.write_str(&term.op);
-            h.write_usize(term.qubits.len());
-            for q in &term.qubits {
-                h.write_str(q);
+    /// The tagged tree of `stmt`: pre-order loop ids and, when a memo
+    /// cache is present, every composite node's digest. A digest hashes
+    /// the node's kind, names, qubits and tags, its leaf children inline
+    /// and its composite children by their digests, and every referenced
+    /// operator by its library [`Digest`](nqpv_quantum::Digest) — so it
+    /// is built bottom-up once per pass, and a key hashes no subtree.
+    fn tag(&mut self, stmt: &Stmt) -> TStmt {
+        match stmt {
+            Stmt::Skip => TStmt::Skip,
+            Stmt::Abort => TStmt::Abort,
+            Stmt::Assert(a) => TStmt::Assert(a.clone()),
+            Stmt::Init { qubits } => TStmt::Init(qubits.clone()),
+            Stmt::Unitary { qubits, op } => TStmt::Unitary(qubits.clone(), op.clone()),
+            Stmt::Seq(items) => {
+                let items: Vec<TStmt> = items.iter().map(|s| self.tag(s)).collect();
+                let digest = self.digest(|h| {
+                    h.write_u8(5);
+                    h.write_usize(items.len());
+                    for item in &items {
+                        self.hash_child(h, item);
+                    }
+                });
+                TStmt::Seq(items, digest)
             }
-            if let Ok((m, _)) = self.lib.predicate_structure(&term.op) {
-                h.write_matrix(m);
+            Stmt::NDet(a, b) => {
+                let (a, b) = (self.tag(a), self.tag(b));
+                let digest = self.digest(|h| {
+                    h.write_u8(6);
+                    self.hash_child(h, &a);
+                    self.hash_child(h, &b);
+                });
+                TStmt::NDet(Box::new(a), Box::new(b), digest)
+            }
+            Stmt::If {
+                meas,
+                qubits,
+                then_branch,
+                else_branch,
+            } => {
+                let (then_branch, else_branch) = (self.tag(then_branch), self.tag(else_branch));
+                let digest = self.digest(|h| {
+                    h.write_u8(7);
+                    self.hash_meas(h, meas, qubits);
+                    self.hash_child(h, &then_branch);
+                    self.hash_child(h, &else_branch);
+                });
+                TStmt::If {
+                    meas: meas.clone(),
+                    qubits: qubits.clone(),
+                    then_branch: Box::new(then_branch),
+                    else_branch: Box::new(else_branch),
+                    digest,
+                }
+            }
+            Stmt::While {
+                meas,
+                qubits,
+                invariant,
+                body,
+            } => {
+                let loop_id = self.next_loop_id;
+                self.next_loop_id += 1;
+                let body = self.tag(body);
+                // Pre-order numbering is positional, not semantic; rankings
+                // (the only loop_id consumer) gate `cacheable` instead.
+                let digest = self.digest(|h| {
+                    h.write_u8(8);
+                    self.hash_meas(h, meas, qubits);
+                    match invariant {
+                        Some(expr) => {
+                            h.write_u8(1);
+                            self.hash_expr(h, expr);
+                        }
+                        // Inference settings change what an un-annotated
+                        // loop produces, so keep annotated/inferred apart.
+                        None => h.write_u8(if self.opts.infer_invariants { 2 } else { 0 }),
+                    }
+                    self.hash_child(h, &body);
+                });
+                TStmt::While {
+                    meas: meas.clone(),
+                    qubits: qubits.clone(),
+                    invariant: invariant.clone(),
+                    loop_id,
+                    body: Box::new(body),
+                    digest,
+                }
             }
         }
     }
 
-    fn hash_stmt(&self, h: &mut KeyHasher, stmt: &TStmt) {
+    /// A composite node's digest from what `write` feeds a fresh hasher,
+    /// or 0 without a memo cache, where no key is ever taken.
+    fn digest(&self, write: impl FnOnce(&mut KeyHasher)) -> CacheKey {
+        if self.cache.is_none() {
+            return 0;
+        }
+        let mut h = KeyHasher::new();
+        write(&mut h);
+        h.finish()
+    }
+
+    /// Feeds a child of a composite node into its parent's digest: a
+    /// leaf's content inline, a composite child's digest.
+    fn hash_child(&self, h: &mut KeyHasher, stmt: &TStmt) {
         match stmt {
             TStmt::Skip => h.write_u8(0),
             TStmt::Abort => h.write_u8(1),
@@ -504,53 +572,26 @@ impl Ctx<'_> {
                 }
                 h.write_str(op);
                 if let Ok(u) = self.lib.unitary(op) {
-                    h.write_matrix(u);
+                    write_key(h, u.digest());
                 }
             }
-            TStmt::Seq(items) => {
-                h.write_u8(5);
-                h.write_usize(items.len());
-                for item in items {
-                    self.hash_stmt(h, item);
-                }
+            composite => {
+                h.write_u8(9);
+                write_key(h, composite.digest().unwrap_or_default());
             }
-            TStmt::NDet(a, b) => {
-                h.write_u8(6);
-                self.hash_stmt(h, a);
-                self.hash_stmt(h, b);
+        }
+    }
+
+    fn hash_expr(&self, h: &mut KeyHasher, expr: &AssertionExpr) {
+        h.write_usize(expr.terms.len());
+        for term in &expr.terms {
+            h.write_str(&term.op);
+            h.write_usize(term.qubits.len());
+            for q in &term.qubits {
+                h.write_str(q);
             }
-            TStmt::If {
-                meas,
-                qubits,
-                then_branch,
-                else_branch,
-            } => {
-                h.write_u8(7);
-                self.hash_meas(h, meas, qubits);
-                self.hash_stmt(h, then_branch);
-                self.hash_stmt(h, else_branch);
-            }
-            TStmt::While {
-                meas,
-                qubits,
-                invariant,
-                body,
-                // Pre-order numbering is positional, not semantic; rankings
-                // (the only loop_id consumer) gate `cacheable` instead.
-                loop_id: _,
-            } => {
-                h.write_u8(8);
-                self.hash_meas(h, meas, qubits);
-                match invariant {
-                    Some(expr) => {
-                        h.write_u8(1);
-                        self.hash_expr(h, expr);
-                        // Inference settings change what an un-annotated
-                        // loop produces, so keep annotated/inferred apart.
-                    }
-                    None => h.write_u8(if self.opts.infer_invariants { 2 } else { 0 }),
-                }
-                self.hash_stmt(h, body);
+            if let Some(d) = self.lib.predicate_digest(&term.op) {
+                write_key(h, d);
             }
         }
     }
@@ -562,8 +603,7 @@ impl Ctx<'_> {
             h.write_str(q);
         }
         if let Ok(m) = self.lib.measurement(meas) {
-            h.write_matrix(m.p0());
-            h.write_matrix(m.p1());
+            write_key(h, m.digest());
         }
     }
 
@@ -648,7 +688,7 @@ impl Ctx<'_> {
                     },
                 })
             }
-            TStmt::Seq(items) => {
+            TStmt::Seq(items, _) => {
                 let mut annotated_rev: Vec<Annotated> = Vec::with_capacity(items.len());
                 let mut current = post.clone();
                 for (idx, item) in items.iter().enumerate().rev() {
@@ -662,7 +702,7 @@ impl Ctx<'_> {
                     node: AnnotatedNode::Seq(annotated_rev),
                 })
             }
-            TStmt::NDet(a, b) => {
+            TStmt::NDet(a, b, _) => {
                 let left = self.go_child(0, a, post)?;
                 let right = self.go_child(1, b, post)?;
                 let pre = left.pre.union(&right.pre)?.check_size(self.opts.max_set)?;
@@ -676,6 +716,7 @@ impl Ctx<'_> {
                 qubits,
                 then_branch,
                 else_branch,
+                ..
             } => {
                 let br = self.branch_projectors(meas, qubits)?;
                 let then_ann = self.go_child(0, then_branch, post)?;
@@ -705,6 +746,7 @@ impl Ctx<'_> {
                 invariant,
                 loop_id,
                 body,
+                ..
             } => {
                 let inv = match invariant {
                     Some(inv_expr) => {
@@ -852,8 +894,8 @@ fn stmt_kind(stmt: &TStmt) -> &'static str {
         TStmt::Assert(_) => "assert",
         TStmt::Init(_) => "init",
         TStmt::Unitary(_, _) => "unitary",
-        TStmt::Seq(_) => "seq",
-        TStmt::NDet(_, _) => "ndet",
+        TStmt::Seq(..) => "seq",
+        TStmt::NDet(..) => "ndet",
         TStmt::If { .. } => "if",
         TStmt::While { .. } => "while",
     }
@@ -873,8 +915,8 @@ fn stmt_footprint(stmt: &TStmt) -> Option<usize> {
 fn contains_while(stmt: &TStmt) -> bool {
     match stmt {
         TStmt::While { .. } => true,
-        TStmt::Seq(items) => items.iter().any(contains_while),
-        TStmt::NDet(a, b) => contains_while(a) || contains_while(b),
+        TStmt::Seq(items, _) => items.iter().any(contains_while),
+        TStmt::NDet(a, b, _) => contains_while(a) || contains_while(b),
         TStmt::If {
             then_branch,
             else_branch,
@@ -895,13 +937,14 @@ fn untag(stmt: &TStmt) -> Stmt {
             qubits: q.clone(),
             op: op.clone(),
         },
-        TStmt::Seq(items) => Stmt::Seq(items.iter().map(untag).collect()),
-        TStmt::NDet(a, b) => Stmt::NDet(Box::new(untag(a)), Box::new(untag(b))),
+        TStmt::Seq(items, _) => Stmt::Seq(items.iter().map(untag).collect()),
+        TStmt::NDet(a, b, _) => Stmt::NDet(Box::new(untag(a)), Box::new(untag(b))),
         TStmt::If {
             meas,
             qubits,
             then_branch,
             else_branch,
+            ..
         } => Stmt::If {
             meas: meas.clone(),
             qubits: qubits.clone(),
@@ -927,7 +970,7 @@ fn untag(stmt: &TStmt) -> Stmt {
 mod tests {
     use super::*;
     use nqpv_lang::{parse_stmt, OpApp};
-    use nqpv_linalg::{CVec, TOL};
+    use nqpv_linalg::{CVec, Complex, TOL};
     use nqpv_quantum::ket;
 
     fn setup(names: &[&str]) -> (OperatorLibrary, Register) {
@@ -1274,5 +1317,110 @@ mod tests {
             }
             other => panic!("expected Seq, got {other:?}"),
         }
+    }
+
+    /// A memo cache that stores nothing and logs every key looked up.
+    #[derive(Default)]
+    struct KeyLog(std::sync::Mutex<Vec<CacheKey>>);
+
+    impl TransformerCache for KeyLog {
+        fn get(&self, key: CacheKey) -> Option<Annotated> {
+            self.0.lock().unwrap().push(key);
+            None
+        }
+
+        fn put(&self, _key: CacheKey, _value: &Annotated) {}
+    }
+
+    /// The subterm keys one backward pass of `src` against `{P0[q]}`
+    /// looks up, in lookup order.
+    fn keys_of(src: &str, lib: &OperatorLibrary) -> Vec<CacheKey> {
+        let reg = Register::new(&["q", "r"]).unwrap();
+        let post = Assertion::from_expr(
+            &nqpv_lang::AssertionExpr::singleton(OpApp::new("P0", &["q"])),
+            lib,
+            &reg,
+        )
+        .unwrap();
+        let log = KeyLog::default();
+        let s = parse_stmt(src).unwrap();
+        let opts = VcOptions::default();
+        backward_with_cache(&s, &post, lib, &reg, opts, &no_rankings(), Some(&log)).unwrap();
+        log.0.into_inner().unwrap()
+    }
+
+    /// The builtins plus `G`, an anti-diagonal unitary with exact zeros.
+    fn library_with(g: &CMat) -> OperatorLibrary {
+        let mut lib = OperatorLibrary::with_builtins();
+        lib.insert_unitary("G", g.clone()).unwrap();
+        lib
+    }
+
+    #[test]
+    fn subterm_keys_separate_operator_bits_exactly() {
+        // Keys: the outer `if`, its `then` branch (holding G), its `else`
+        // branch (no G), all pushed through the same postcondition.
+        let src = "if M01[q] then (if M01[r] then [r] *= G else skip end) \
+                   else (if M01[r] then [q] *= X else skip end) end";
+        let g = CMat::from_vec(
+            2,
+            2,
+            vec![
+                Complex::ZERO,
+                Complex::new(0.6, 0.8),
+                Complex::new(0.8, -0.6),
+                Complex::ZERO,
+            ],
+        );
+        let keys = keys_of(src, &library_with(&g));
+        assert_eq!(keys.len(), 3);
+        // Identical structure and bits, in a separately built library.
+        assert_eq!(keys_of(src, &library_with(&g)), keys);
+        // One flipped mantissa bit of G changes the key of every subterm
+        // holding it, and of no other.
+        let mut flipped = g.clone();
+        flipped[(0, 1)].re = f64::from_bits(0.6f64.to_bits() ^ 1);
+        let other = keys_of(src, &library_with(&flipped));
+        assert_ne!(other[0], keys[0]);
+        assert_ne!(other[1], keys[1]);
+        assert_eq!(other[2], keys[2]);
+        // As in every exact-bits key, -0.0 and 0.0 are one value.
+        let mut signed = g.clone();
+        signed[(0, 0)] = Complex::new(-0.0, -0.0);
+        assert_eq!(keys_of(src, &library_with(&signed)), keys);
+    }
+
+    #[test]
+    fn operator_digests_are_computed_only_for_keys() {
+        let (mut lib, reg) = setup(&["q1", "q2"]);
+        let v = CVec::new(vec![
+            nqpv_linalg::cr(0.0),
+            nqpv_linalg::cr(std::f64::consts::FRAC_1_SQRT_2),
+            nqpv_linalg::cr(0.0),
+            nqpv_linalg::cr(std::f64::consts::FRAC_1_SQRT_2),
+        ]);
+        lib.insert_predicate("invN", ket("00").projector().add_mat(&v.projector()))
+            .unwrap();
+        let src = "{ inv : invN[q1 q2] }; while MQWalk[q1 q2] do \
+                   ( [q1 q2] *= W1; [q1 q2] *= W2 # [q1 q2] *= W2; [q1 q2] *= W1 ) end";
+        let s = parse_stmt(src).unwrap();
+        let post = Assertion::zero(4);
+        let opts = VcOptions::default();
+        let digested = |lib: &OperatorLibrary| -> Vec<String> {
+            let mut names: Vec<String> = lib
+                .names()
+                .filter(|n| lib.get(n).unwrap().digest_computed())
+                .map(String::from)
+                .collect();
+            names.sort_unstable();
+            names
+        };
+        backward(&s, &post, &lib, &reg, opts, &no_rankings()).unwrap();
+        assert!(digested(&lib).is_empty(), "{:?}", digested(&lib));
+        // With a cache, exactly the operators the keys reference are
+        // digested.
+        let log = KeyLog::default();
+        backward_with_cache(&s, &post, &lib, &reg, opts, &no_rankings(), Some(&log)).unwrap();
+        assert_eq!(digested(&lib), ["MQWalk", "W1", "W2", "invN"]);
     }
 }

@@ -59,5 +59,5 @@ pub use tensor::{
     adjoint_conjugate_diagonal, adjoint_conjugate_gate, apply_diagonal_columns_adjoint,
     apply_gate_columns, apply_gate_columns_adjoint, apply_gate_left, apply_gate_right_adjoint,
     apply_gate_vec, bit_of, conjugate_diagonal, conjugate_gate, deposit_bits, embed,
-    embed_diagonal, index_of_bits, partial_trace, permute_qubits,
+    embed_diagonal, index_of_bits, partial_trace, permute_qubits, GatePlan,
 };

@@ -15,6 +15,12 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Range, Sub};
 /// cache-resident while every output row in the chunk streams over it.
 const MUL_BLOCK_K: usize = 64;
 
+/// Rows of `A†A` per panel of [`CMat::is_unitary`]: the panel
+/// (`32·cols` entries, 128 KiB at 256 columns) stays cache-resident while
+/// every row of `A` streams over it once, and a failing entry stops the
+/// check after at most one panel more than it needs.
+const GRAM_PANEL: usize = 32;
+
 /// A dense complex column vector.
 ///
 /// # Examples
@@ -435,12 +441,24 @@ impl CMat {
         true
     }
 
-    /// `true` if `A†A = I` within `tol`.
+    /// `true` if `A†A = I` within `tol`: the decision of
+    /// `self.adjoint_mul(self).is_identity(tol)`, from the upper triangle
+    /// of `G = A†A` only, in row panels, stopping at the first entry out
+    /// of tolerance and never holding the `d × d` product.
+    ///
+    /// Each upper entry sums the products [`CMat::adjoint_mul`] sums, in
+    /// its order, so it has the same bits. Entry `(j, i)` below the
+    /// diagonal sums the conjugates of the products of entry `(i, j)`,
+    /// and round-to-nearest is symmetric under negation, so it is the
+    /// conjugate of entry `(i, j)` up to the sign of a zero; both are
+    /// within `tol` of 0 or neither is. The one asymmetry is the
+    /// exact-zero skip: `(i, j)` skips the products with `A[k][i] = 0`,
+    /// `(j, i)` those with `A[k][j] = 0`, and a skipped product with a
+    /// non-finite factor is NaN in the other entry. Such a factor also
+    /// makes the diagonal entry of its column `+∞` or NaN (a sum of
+    /// `|A[k][j]|²`), which fails the check either way.
     pub fn is_unitary(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        self.adjoint_mul(self).is_identity(tol)
+        self.is_square() && gram_is_identity(Isa::host(), self, tol)
     }
 
     /// `true` if `A = I` within `tol`: `approx_eq` against the identity,
@@ -717,6 +735,89 @@ unsafe fn mul_rows_avx512(
     mul_rows(lhs, rhs, out, range)
 }
 
+/// The decision of [`CMat::is_unitary`] for a square `a`, with the Gram
+/// rows run as the `isa` instance of [`gram_rows`]: panel by panel of
+/// [`GRAM_PANEL`] rows, each entry `G[i][j]`, `j ≥ i`, is compared with
+/// the identity's once its panel is complete.
+fn gram_is_identity(isa: Isa, a: &CMat, tol: f64) -> bool {
+    let d = a.rows;
+    let mut panel = vec![Complex::ZERO; GRAM_PANEL.min(d) * d];
+    for i0 in (0..d).step_by(GRAM_PANEL) {
+        let rows = GRAM_PANEL.min(d - i0);
+        let shared = SharedMut::new(&mut panel[..rows * d]);
+        crate::par::sweep(rows, d * (d - i0), |range| {
+            // SAFETY: chunks own disjoint row ranges of the panel, whose
+            // borrow outlives the sweep. The AVX-512 instance runs only
+            // when the host has `avx512f`.
+            unsafe {
+                if isa.avx512() {
+                    #[cfg(target_arch = "x86_64")]
+                    return gram_rows_avx512(a, i0, &shared, range);
+                }
+                gram_rows(a, i0, &shared, range)
+            }
+        });
+        for (r, row) in panel.chunks_exact(d).take(rows).enumerate() {
+            let i = i0 + r;
+            for (j, z) in row.iter().enumerate().skip(i) {
+                let want = if i == j { Complex::ONE } else { Complex::ZERO };
+                if !z.approx_eq(want, tol) {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Rows `i0 + r`, `r ∈ range`, of the upper triangle of `A†A` into the
+/// panel `out` (row `r` at offset `r·d`, entry `j ≥ i0 + r` at `j`):
+/// `G[i][j] = Σ_k conj(A[k][i])·A[k][j]`, from zero in ascending `k`,
+/// skipping exact-zero `conj(A[k][i])` — the products and order of
+/// [`CMat::adjoint_mul`]. The body both instruction-set instances share.
+///
+/// # Safety
+///
+/// `out` must wrap a live buffer of at least `range.end · d` entries, and
+/// no concurrent call may touch the rows in `range`.
+#[inline(always)]
+unsafe fn gram_rows(a: &CMat, i0: usize, out: &SharedMut<Complex>, range: Range<usize>) {
+    let d = a.cols;
+    debug_assert!(range.end * d <= out.len());
+    for r in range.clone() {
+        // SAFETY: row `r` of the live panel, which no concurrent call
+        // touches.
+        std::slice::from_raw_parts_mut(out.ptr().add(r * d), d).fill(Complex::ZERO);
+    }
+    for k in 0..d {
+        let arow = a.row(k);
+        for r in range.clone() {
+            let i = i0 + r;
+            let x = arow[i].conj();
+            // Skip exact (±0) zeros only — see `Complex::is_exact_zero`.
+            if x.is_exact_zero() {
+                continue;
+            }
+            // SAFETY: the tail of row `r` of the live panel, as above.
+            let orow = std::slice::from_raw_parts_mut(out.ptr().add(r * d + i), d - i);
+            for (o, &b) in orow.iter_mut().zip(&arow[i..]) {
+                *o += x * b;
+            }
+        }
+    }
+}
+
+/// [`gram_rows`] compiled for AVX-512.
+///
+/// # Safety
+///
+/// As [`gram_rows`], on a host with `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gram_rows_avx512(a: &CMat, i0: usize, out: &SharedMut<Complex>, range: Range<usize>) {
+    gram_rows(a, i0, out, range)
+}
+
 impl Index<(usize, usize)> for CMat {
     type Output = Complex;
     #[inline]
@@ -815,6 +916,37 @@ mod tests {
             }
         }
         CMat::from_vec(rows, cols, data)
+    }
+
+    /// The half-Gram unitarity check decides as the full product does on
+    /// every instruction-set instance and thread count, across panels.
+    #[test]
+    fn unitarity_decisions_agree_across_instruction_sets() {
+        let mut rng = TestRng::new(27);
+        for d in [1usize, 5, 33, 40] {
+            let mut near = CMat::identity(d);
+            near[(0, d - 1)].im += 0.5e-8;
+            let mut far = near.clone();
+            far[(d - 1, d / 2)].re += 2e-8;
+            let mut nan = CMat::identity(d);
+            nan[(d / 3, d / 2)] = c(f64::NAN, 0.0);
+            let random = seeded(&mut rng, d, d, &[0.0, -0.0, f64::INFINITY]);
+            for (m, name) in [
+                (CMat::identity(d), "identity"),
+                (near, "near"),
+                (far, "far"),
+                (nan, "nan"),
+                (random, "random"),
+            ] {
+                let full = m.adjoint_mul(&m).is_identity(1e-8);
+                assert_eq!(m.is_unitary(1e-8), full, "{name}, d = {d}");
+                assert_every_instance_agrees(&format!("{name}, d = {d}"), |isa| {
+                    vec![Complex::real(f64::from(u8::from(gram_is_identity(
+                        isa, &m, 1e-8,
+                    ))))]
+                });
+            }
+        }
     }
 
     /// `mul` and `adjoint_mul` give the same bits on every instruction-set

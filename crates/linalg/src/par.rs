@@ -341,6 +341,22 @@ pub(crate) mod test_support {
         }
     }
 
+    /// Runs `f` as every host instance at kernel threads 1 and 4 and
+    /// checks each result against the reference `want` with
+    /// [`assert_same_bits`].
+    pub(crate) fn assert_every_instance_gives(
+        what: &str,
+        want: &[Complex],
+        f: impl Fn(Isa) -> Vec<Complex>,
+    ) {
+        for isa in host_instances() {
+            for threads in [1, 4] {
+                let got = at_threads(threads, || f(isa));
+                assert_same_bits(want, &got, &format!("{what}, {isa:?}, {threads} threads"));
+            }
+        }
+    }
+
     /// Bit equality of every component, except that where either side
     /// holds a NaN only the NaN position is compared (instruction sets
     /// may propagate different NaN payloads).

@@ -6,6 +6,19 @@
 //! significant bit**, so `kron(A, B)` acts with `A` on lower-numbered qubits.
 //! `bit_of(i, q, n) = (i >> (n-1-q)) & 1`.
 //!
+//! A gate on `k` of `n` qubits acts on `2ⁿ⁻ᵏ` rest blocks of `2ᵏ` basis
+//! indices each. A [`GatePlan`] lists the blocks' base indices once, and
+//! every sweep reads them from it. The left action on a row-major
+//! `2ⁿ × w` operand (factor columns, and the left half of a
+//! conjugation) follows the longer axis: for `w ≥ 2ᵏ` it runs per rest
+//! block over whole contiguous rows, `out[x][..] = Σ_y G[x][y]·in[y][..]`
+//! (row panels, tiled by columns for wide operands); for narrower
+//! operands, such as a state vector or a rank-1 factor under a wide
+//! gate, it runs per column over the gathered block. Both orders sum
+//! every output element's products in ascending `y` from zero, so they
+//! give the same bits. The right (row) sweep of a conjugation runs per
+//! row over the gathered block.
+//!
 //! Every dense gate sweep runs its chunks through one `#[inline(always)]`
 //! body, compiled twice: as the target compiles it, and for AVX-512 when
 //! the host has it (see [`crate::par`]). The body uses no fused
@@ -211,46 +224,170 @@ fn stream_rows(gate: &CMat, g: &[Complex], acc: &mut [Complex], f: impl Fn(Compl
     }
 }
 
-/// Precomputed index plan for applying a `k`-qubit gate inside an
-/// `n`-qubit space: the "rest" qubit shifts and the sub-index deposits.
-/// Building it once per gate application (instead of once per matrix row,
-/// as a naive loop would) keeps the strided kernels allocation-free on
-/// the hot path. The plan also fixes the instruction-set instance its
-/// sweep chunks run as: the host's, read once per plan.
-struct GatePlan {
+/// Columns of one row panel: a left sweep over a wider operand splits
+/// each rest block's rows into column tiles of at most this width, so
+/// the accumulator of one tile stays in cache (`dk × 64` entries, 256 KiB
+/// at `dk = 256`) and a full-width gate still has more than one item to
+/// share out across kernel threads.
+const PANEL_TILE: usize = 64;
+
+/// The index plan for applying `k`-qubit gates on `positions` of an
+/// `n`-qubit register: the base index of every rest block (the register
+/// index with every acted-on qubit 0, in ascending order) and the
+/// sub-index deposits that complete a base to the `2ᵏ` rows of its
+/// block. Building it once per statement — not once per predicate, row
+/// or column — leaves the sweeps nothing to derive from bits. The plan
+/// also fixes the instruction-set instance its sweep chunks run as: the
+/// host's, read once per plan.
+///
+/// A left action on a row-major `2ⁿ × w` operand (factor columns, and
+/// the left half of a conjugation) runs in one of two loop orders,
+/// whichever has the longer inner loop: for `w ≥ dk`, per rest block
+/// over whole contiguous rows (`out[x][..] = Σ_y view(G)[x][y]·in[y][..]`);
+/// otherwise per column, gathering its `dk` entries of the block and
+/// running a `dk`-long loop over the gate. Every output element sums the
+/// same products in the same ascending `y` from [`Complex::ZERO`] in both
+/// orders, so the choice never changes a bit.
+///
+/// # Examples
+///
+/// ```
+/// use nqpv_linalg::{apply_gate_columns_adjoint, CMat, GatePlan};
+/// let h = CMat::from_real(2, 2, &[1.0, 1.0, 1.0, -1.0]).scale_re(0.5f64.sqrt());
+/// let v = CMat::from_fn(8, 2, |i, j| nqpv_linalg::c(i as f64, j as f64));
+/// let plan = GatePlan::new(&[2], 3);
+/// let (mut a, mut b) = (v.clone(), v);
+/// plan.apply_columns_adjoint(&h, &mut a);
+/// apply_gate_columns_adjoint(&h, &[2], 3, &mut b);
+/// assert_eq!(a.as_slice(), b.as_slice());
+/// ```
+#[derive(Debug, Clone)]
+pub struct GatePlan {
     isa: Isa,
+    n: usize,
     dk: usize,
-    rest_count: usize,
-    rest_shifts: Vec<usize>,
+    bases: Vec<usize>,
     sub_deposits: Vec<usize>,
 }
 
 impl GatePlan {
-    fn new(positions: &[usize], n: usize) -> GatePlan {
-        let k = positions.len();
-        let dk = 1usize << k;
-        let dn = 1usize << n;
-        // Positions of the non-acted ("rest") qubits, as bit shifts.
-        let mut rest_shifts: Vec<usize> = Vec::with_capacity(n - k);
-        'outer: for q in 0..n {
-            for &p in positions {
-                if p == q {
-                    continue 'outer;
-                }
-            }
-            rest_shifts.push(n - 1 - q);
-        }
-        debug_assert_eq!(rest_shifts.len(), n - k);
+    /// The plan for gates on `positions` (the gate's qubit `t` is
+    /// register qubit `positions[t]`) of an `n`-qubit register. It holds
+    /// one index per rest block, `2ⁿ⁻ᵏ` in all: build it for an operand
+    /// that exists, which is at least `2ᵏ` times larger.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `positions` are not distinct qubits of `0..n`.
+    pub fn new(positions: &[usize], n: usize) -> GatePlan {
+        validate_positions(positions, n);
+        let dk = 1usize << positions.len();
         let sub_deposits: Vec<usize> = (0..dk)
             .map(|x| deposit_sub_index(x, positions, n))
             .collect();
+        // The bases are the indices with every acted-on bit clear, in
+        // ascending order: step to the next one by carrying through the
+        // acted-on bits.
+        let acted = sub_deposits[dk - 1];
+        let mut bases = Vec::with_capacity((1usize << n) >> positions.len());
+        let mut base = 0usize;
+        loop {
+            bases.push(base);
+            base = ((base | acted) + 1) & !acted;
+            if base >> n != 0 {
+                break;
+            }
+        }
         GatePlan {
             isa: Isa::host(),
+            n,
             dk,
-            rest_count: dn >> k,
-            rest_shifts,
+            bases,
             sub_deposits,
         }
+    }
+
+    /// Checks that `gate` is `2ᵏ × 2ᵏ` for the plan's `k` positions.
+    /// Matrix indexing only bounds-checks the flat offset, so a
+    /// wrong-size gate would otherwise be read silently out of shape.
+    fn check_gate(&self, gate: &CMat) {
+        let dk = self.dk;
+        assert!(
+            gate.rows() == dk && gate.cols() == dk,
+            "gate size mismatch: a {}×{} gate on {} qubit(s) must be {dk}×{dk}",
+            gate.rows(),
+            gate.cols(),
+            dk.trailing_zeros()
+        );
+    }
+
+    /// `V ← G_S·V` on every column of the `2ⁿ × r` matrix `v`: the plan's
+    /// form of [`apply_gate_columns`], bitwise the same result.
+    ///
+    /// # Panics
+    ///
+    /// As [`apply_gate_columns`].
+    pub fn apply_columns(&self, gate: &CMat, v: &mut CMat) {
+        self.sweep_columns(gate, GateView::AsIs, v);
+    }
+
+    /// `V ← G_S†·V`: the plan's form of [`apply_gate_columns_adjoint`],
+    /// bitwise the same result.
+    ///
+    /// # Panics
+    ///
+    /// As [`apply_gate_columns_adjoint`].
+    pub fn apply_columns_adjoint(&self, gate: &CMat, v: &mut CMat) {
+        self.sweep_columns(gate, GateView::Adjoint, v);
+    }
+
+    /// `G_S·M·G_S†`: the plan's form of [`conjugate_gate`], bitwise the
+    /// same result.
+    ///
+    /// # Panics
+    ///
+    /// As [`conjugate_gate`].
+    pub fn conjugate(&self, gate: &CMat, m: &CMat) -> CMat {
+        self.conjugate_views(gate, GateView::AsIs, GateView::Conj, m)
+    }
+
+    /// `G_S†·M·G_S`: the plan's form of [`adjoint_conjugate_gate`],
+    /// bitwise the same result.
+    ///
+    /// # Panics
+    ///
+    /// As [`adjoint_conjugate_gate`].
+    pub fn adjoint_conjugate(&self, gate: &CMat, m: &CMat) -> CMat {
+        self.conjugate_views(gate, GateView::Adjoint, GateView::Transpose, m)
+    }
+
+    /// Sweeps `view(gate)` down every column of `v` (`V ← G_S·V` for
+    /// `AsIs`).
+    fn sweep_columns(&self, gate: &CMat, view: GateView, v: &mut CMat) {
+        assert_eq!(v.rows(), 1usize << self.n, "factor height mismatch");
+        self.check_gate(gate);
+        let width = v.cols();
+        sweep_left(self, gate, view, v.as_mut_slice(), width);
+    }
+
+    /// `M ← L_S · M · R_S†` where `view_left` gives `L` and `view_right`
+    /// gives `conj(R)`: a left sweep over the rows of `M`, then a
+    /// row-parallel right sweep along each row, with a barrier between
+    /// them.
+    fn conjugate_views(
+        &self,
+        gate: &CMat,
+        view_left: GateView,
+        view_right: GateView,
+        m: &CMat,
+    ) -> CMat {
+        validate_square(m, self.n);
+        self.check_gate(gate);
+        let d = 1usize << self.n;
+        let mut out = m.clone();
+        sweep_left(self, gate, view_left, out.as_mut_slice(), d);
+        sweep_rows(self, gate, view_right, &mut out);
+        out
     }
 
     /// Applies `view(gate)` to the virtual vector
@@ -280,13 +417,7 @@ impl GatePlan {
         scratch: &mut [Complex],
     ) {
         let (gathered, acc) = scratch.split_at_mut(self.dk);
-        for r in 0..self.rest_count {
-            // Spread the bits of r into the rest positions.
-            let mut base = 0usize;
-            for (bi, &sh) in self.rest_shifts.iter().enumerate() {
-                let b = (r >> (self.rest_shifts.len() - 1 - bi)) & 1;
-                base |= b << sh;
-            }
+        for &base in &self.bases {
             for (g, &dep) in gathered.iter_mut().zip(&self.sub_deposits) {
                 let idx = offset + (base | dep) * stride;
                 debug_assert!(idx < data.len());
@@ -347,7 +478,110 @@ impl GatePlan {
     /// per rest block), for the serial/parallel decision of
     /// [`par::sweep`].
     fn sweep_work(&self) -> usize {
-        self.rest_count * self.dk * (self.dk + 1)
+        self.bases.len() * self.dk * (self.dk + 1)
+    }
+
+    /// Whether a left sweep over a `width`-column operand runs as row
+    /// panels: when the rows are at least as long as the gate's rows, so
+    /// the panel's inner loop is the longer one. A lone column (state
+    /// vectors, rank-1 factors) always keeps the per-column loop.
+    fn panels_pay(&self, width: usize) -> bool {
+        width >= 2 && width >= self.dk
+    }
+
+    /// One panel chunk: for each item `t` in `range` (rest block
+    /// `t / tiles`, column tile `t % tiles` of a row-major operand
+    /// `width` wide), `row[x][c] ← Σ_y view(G)[x][y]·row[y][c]` over the
+    /// block's `dk` rows and the tile's columns, where `row[x]` is the
+    /// operand row `base | sub_deposits[x]` and `view(G)[x][y]` is
+    /// `entry(x, y)`. Each accumulator starts at [`Complex::ZERO`] and
+    /// adds its products in ascending `y` — the sum [`dot_rows`] and
+    /// [`stream_rows`] form per element. The body both instruction-set
+    /// instances share.
+    ///
+    /// # Safety
+    ///
+    /// `data` must wrap a live `2ⁿ × width` buffer, and no concurrent
+    /// call may touch the items in `range`.
+    #[inline(always)]
+    unsafe fn panel_chunk(
+        &self,
+        entry: impl Fn(usize, usize) -> Complex,
+        data: &SharedMut<Complex>,
+        width: usize,
+        range: Range<usize>,
+    ) {
+        let tile = width.min(PANEL_TILE);
+        let tiles = width.div_ceil(tile);
+        let mut scratch = vec![Complex::ZERO; self.dk * tile];
+        for t in range {
+            let base = self.bases[t / tiles];
+            let c0 = (t % tiles) * tile;
+            let tw = tile.min(width - c0);
+            let acc = &mut scratch[..self.dk * tw];
+            acc.fill(Complex::ZERO);
+            for (y, &dep) in self.sub_deposits.iter().enumerate() {
+                let at = (base | dep) * width + c0;
+                debug_assert!(at + tw <= data.len());
+                // SAFETY: the tile of row `base | dep`, inside the live
+                // buffer; no concurrent call writes it, and this one
+                // writes it only after the last read below.
+                let row = std::slice::from_raw_parts(data.ptr().add(at), tw);
+                for (x, out) in acc.chunks_exact_mut(tw).enumerate() {
+                    let g = entry(x, y);
+                    for (o, &z) in out.iter_mut().zip(row) {
+                        *o += g * z;
+                    }
+                }
+            }
+            for (out, &dep) in acc.chunks_exact(tw).zip(&self.sub_deposits) {
+                let at = (base | dep) * width + c0;
+                // SAFETY: as above; `acc` is this call's own scratch, so
+                // source and destination do not overlap.
+                std::ptr::copy_nonoverlapping(out.as_ptr(), data.ptr().add(at), tw);
+            }
+        }
+    }
+
+    /// [`GatePlan::panel_chunk`] for `view(gate)`, the view resolved once
+    /// per chunk.
+    ///
+    /// # Safety
+    ///
+    /// As [`GatePlan::panel_chunk`].
+    #[inline(always)]
+    unsafe fn run_panels(
+        &self,
+        gate: &CMat,
+        view: GateView,
+        data: &SharedMut<Complex>,
+        width: usize,
+        range: Range<usize>,
+    ) {
+        match view {
+            GateView::AsIs => self.panel_chunk(|x, y| gate.row(x)[y], data, width, range),
+            GateView::Conj => self.panel_chunk(|x, y| gate.row(x)[y].conj(), data, width, range),
+            GateView::Adjoint => self.panel_chunk(|x, y| gate.row(y)[x].conj(), data, width, range),
+            GateView::Transpose => self.panel_chunk(|x, y| gate.row(y)[x], data, width, range),
+        }
+    }
+
+    /// [`GatePlan::run_panels`] compiled for AVX-512.
+    ///
+    /// # Safety
+    ///
+    /// As [`GatePlan::panel_chunk`], on a host with `avx512f`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn run_panels_avx512(
+        &self,
+        gate: &CMat,
+        view: GateView,
+        data: &SharedMut<Complex>,
+        width: usize,
+        range: Range<usize>,
+    ) {
+        self.run_panels(gate, view, data, width, range)
     }
 }
 
@@ -381,20 +615,28 @@ fn sweep_strided(
     });
 }
 
-/// Checks what every public sweep relies on: distinct in-range
-/// `positions` and a square `2^k × 2^k` gate for `k = positions.len()`.
-/// Matrix indexing only bounds-checks the flat offset, so a wrong-size
-/// gate would otherwise be read silently out of shape.
-fn validate_gate(gate: &CMat, positions: &[usize], n: usize) {
-    validate_positions(positions, n);
-    let dk = 1usize << positions.len();
-    assert!(
-        gate.rows() == dk && gate.cols() == dk,
-        "gate size mismatch: a {}×{} gate on {} qubit(s) must be {dk}×{dk}",
-        gate.rows(),
-        gate.cols(),
-        positions.len()
-    );
+/// Runs `plan` with `view(gate)` as row panels over the row-major
+/// `2ⁿ × width` operand `data`, chunked by [`par::sweep`] over (rest
+/// block, column tile) items, each chunk as the plan's instance. Items
+/// own disjoint rows or columns, so chunks never overlap.
+fn sweep_panels(plan: &GatePlan, gate: &CMat, view: GateView, data: &mut [Complex], width: usize) {
+    let tile = width.min(PANEL_TILE);
+    let items = plan.bases.len() * width.div_ceil(tile);
+    let shared = SharedMut::new(data);
+    par::sweep(items, plan.dk * plan.dk * tile, |range| {
+        // SAFETY: `shared` wraps a live unique borrow of a `2ⁿ × width`
+        // buffer; item `t` touches only the columns of its tile in the
+        // rows of its rest block, distinct across items, and chunk
+        // ranges are disjoint. The AVX-512 instance runs only when the
+        // host has `avx512f`.
+        unsafe {
+            if plan.isa.avx512() {
+                #[cfg(target_arch = "x86_64")]
+                return plan.run_panels_avx512(gate, view, &shared, width, range);
+            }
+            plan.run_panels(gate, view, &shared, width, range)
+        }
+    });
 }
 
 /// Checks that `m` is a `2^n × 2^n` operator.
@@ -404,25 +646,25 @@ fn validate_square(m: &CMat, n: usize) {
     assert_eq!(m.cols(), d, "matrix dimension mismatch");
 }
 
-/// Sweeps `view(gate)` down every column of `v` (`V ← G_S·V` for
-/// `AsIs`). Column `j` occupies indices `j + t·r` (`t < 2ⁿ`): disjoint
-/// across columns.
-fn sweep_columns(gate: &CMat, view: GateView, positions: &[usize], n: usize, v: &mut CMat) {
-    assert_eq!(v.rows(), 1usize << n, "factor height mismatch");
-    validate_gate(gate, positions, n);
-    let r = v.cols();
-    if r == 0 {
+/// Sweeps `view(gate)` down every column of the row-major `2ⁿ × width`
+/// operand `data` (`V ← G_S·V` for `AsIs`): as row panels or per column,
+/// as [`GatePlan`] describes.
+fn sweep_left(plan: &GatePlan, gate: &CMat, view: GateView, data: &mut [Complex], width: usize) {
+    if width == 0 {
         return;
     }
-    let plan = GatePlan::new(positions, n);
-    sweep_strided(&plan, gate, view, v.as_mut_slice(), r, r, |j| j);
+    if plan.panels_pay(width) {
+        sweep_panels(plan, gate, view, data, width);
+    } else {
+        sweep_strided(plan, gate, view, data, width, width, |j| j);
+    }
 }
 
 /// Sweeps `view(gate)` along every row of the `2^n × 2^n` matrix `m`
 /// (`M ← M·G_Sᵀ` for `AsIs`). Row `i` occupies the contiguous range
 /// `i·d .. (i+1)·d`, disjoint across rows.
-fn sweep_rows(plan: &GatePlan, gate: &CMat, view: GateView, n: usize, m: &mut CMat) {
-    let d = 1usize << n;
+fn sweep_rows(plan: &GatePlan, gate: &CMat, view: GateView, m: &mut CMat) {
+    let d = 1usize << plan.n;
     sweep_strided(plan, gate, view, m.as_mut_slice(), d, 1, |i| i * d);
 }
 
@@ -434,8 +676,8 @@ fn sweep_rows(plan: &GatePlan, gate: &CMat, view: GateView, n: usize, m: &mut CM
 /// Panics on dimension mismatches or invalid positions.
 pub fn apply_gate_vec(gate: &CMat, positions: &[usize], n: usize, v: &mut CVec) {
     assert_eq!(v.dim(), 1usize << n, "state vector dimension mismatch");
-    validate_gate(gate, positions, n);
     let plan = GatePlan::new(positions, n);
+    plan.check_gate(gate);
     sweep_strided(&plan, gate, GateView::AsIs, v.as_mut_slice(), 1, 1, |_| 0);
 }
 
@@ -444,16 +686,19 @@ pub fn apply_gate_vec(gate: &CMat, positions: &[usize], n: usize, v: &mut CVec) 
 /// vectors, so this is the tall-skinny-factor form of [`apply_gate_left`]
 /// (which requires a square matrix): `O(2ⁿ·2ᵏ·r)` — for a low-rank factor
 /// this replaces the `O(8ⁿ)` dense conjugation of the operator it
-/// represents. Columns are swept in parallel chunks when
-/// [`crate::par::kernel_threads`] > 1 and the sweep is large enough;
-/// results are bitwise identical for every thread count.
+/// represents. Rest blocks (or columns) are swept in parallel chunks
+/// when [`crate::par::kernel_threads`] > 1 and the sweep is large
+/// enough; results are bitwise identical for every thread count. A
+/// caller sweeping several operands with one footprint builds one
+/// [`GatePlan`] and calls [`GatePlan::apply_columns`] instead.
 ///
 /// # Panics
 ///
 /// Panics on dimension mismatches (including a gate that is not
 /// `2^k × 2^k`) or invalid positions.
 pub fn apply_gate_columns(gate: &CMat, positions: &[usize], n: usize, v: &mut CMat) {
-    sweep_columns(gate, GateView::AsIs, positions, n, v);
+    assert_eq!(v.rows(), 1usize << n, "factor height mismatch");
+    GatePlan::new(positions, n).apply_columns(gate, v);
 }
 
 /// [`apply_gate_columns`] with the gate's adjoint, `V ← G_S† · V` — the
@@ -465,18 +710,19 @@ pub fn apply_gate_columns(gate: &CMat, positions: &[usize], n: usize, v: &mut CM
 ///
 /// As [`apply_gate_columns`].
 pub fn apply_gate_columns_adjoint(gate: &CMat, positions: &[usize], n: usize, v: &mut CMat) {
-    sweep_columns(gate, GateView::Adjoint, positions, n, v);
+    assert_eq!(v.rows(), 1usize << n, "factor height mismatch");
+    GatePlan::new(positions, n).apply_columns_adjoint(gate, v);
 }
 
 /// Left-multiplies an embedded gate into a `2^n × 2^n` matrix in place:
-/// `M ← G_S · M`. Column-parallel like [`apply_gate_columns`].
+/// `M ← G_S · M`. Row panels, parallel like [`apply_gate_columns`].
 ///
 /// # Panics
 ///
 /// Panics on dimension mismatches or invalid positions.
 pub fn apply_gate_left(gate: &CMat, positions: &[usize], n: usize, m: &mut CMat) {
     validate_square(m, n);
-    sweep_columns(gate, GateView::AsIs, positions, n, m);
+    GatePlan::new(positions, n).apply_columns(gate, m);
 }
 
 /// Right-multiplies the adjoint of an embedded gate into a matrix in place:
@@ -488,30 +734,9 @@ pub fn apply_gate_left(gate: &CMat, positions: &[usize], n: usize, m: &mut CMat)
 /// Panics on dimension mismatches or invalid positions.
 pub fn apply_gate_right_adjoint(gate: &CMat, positions: &[usize], n: usize, m: &mut CMat) {
     validate_square(m, n);
-    validate_gate(gate, positions, n);
     let plan = GatePlan::new(positions, n);
-    sweep_rows(&plan, gate, GateView::Conj, n, m);
-}
-
-/// `M ← L_S · M · R_S†` where `view_left` gives `L` and `view_right`
-/// gives `conj(R)`: one index plan shared by a column-parallel left
-/// sweep and a row-parallel right sweep, with a barrier between them.
-fn conjugate_views(
-    gate: &CMat,
-    view_left: GateView,
-    view_right: GateView,
-    positions: &[usize],
-    n: usize,
-    m: &CMat,
-) -> CMat {
-    validate_square(m, n);
-    validate_gate(gate, positions, n);
-    let d = 1usize << n;
-    let mut out = m.clone();
-    let plan = GatePlan::new(positions, n);
-    sweep_strided(&plan, gate, view_left, out.as_mut_slice(), d, d, |j| j);
-    sweep_rows(&plan, gate, view_right, n, &mut out);
-    out
+    plan.check_gate(gate);
+    sweep_rows(&plan, gate, GateView::Conj, m);
 }
 
 /// Schrödinger-picture conjugation `M ← G_S · M · G_S†` without
@@ -521,7 +746,8 @@ fn conjugate_views(
 ///
 /// Panics on dimension mismatches or invalid positions.
 pub fn conjugate_gate(gate: &CMat, positions: &[usize], n: usize, m: &CMat) -> CMat {
-    conjugate_views(gate, GateView::AsIs, GateView::Conj, positions, n, m)
+    validate_square(m, n);
+    GatePlan::new(positions, n).conjugate(gate, m)
 }
 
 /// Heisenberg-picture conjugation `M ← G_S† · M · G_S` (e.g. `U†MU`,
@@ -534,14 +760,8 @@ pub fn conjugate_gate(gate: &CMat, positions: &[usize], n: usize, m: &CMat) -> C
 ///
 /// Panics on dimension mismatches or invalid positions.
 pub fn adjoint_conjugate_gate(gate: &CMat, positions: &[usize], n: usize, m: &CMat) -> CMat {
-    conjugate_views(
-        gate,
-        GateView::Adjoint,
-        GateView::Transpose,
-        positions,
-        n,
-        m,
-    )
+    validate_square(m, n);
+    GatePlan::new(positions, n).adjoint_conjugate(gate, m)
 }
 
 // Diagonal gates.
@@ -715,7 +935,9 @@ pub fn permute_qubits(m: &CMat, perm: &[usize], n: usize) -> CMat {
 mod tests {
     use super::*;
     use crate::complex::{c, cr, TOL};
-    use crate::par::test_support::{assert_every_instance_agrees, assert_same_bits, TestRng};
+    use crate::par::test_support::{
+        assert_every_instance_agrees, assert_every_instance_gives, assert_same_bits, TestRng,
+    };
 
     fn x() -> CMat {
         CMat::from_real(2, 2, &[0.0, 1.0, 1.0, 0.0])
@@ -1020,6 +1242,126 @@ mod tests {
                 });
             }
         }
+    }
+
+    /// `view(G)_S·V` for the row-major `2ⁿ × width` operand `v`, from
+    /// the materialised view and nothing of [`GatePlan`]: column by
+    /// column, each element `Σ_y view(G)[x][y]·v[rest | y][c]` summed
+    /// from [`Complex::ZERO`] in ascending `y`.
+    fn per_column_reference(
+        (gate, positions, n): &Case,
+        view: GateView,
+        v: &[Complex],
+        width: usize,
+    ) -> Vec<Complex> {
+        let g = match view {
+            GateView::AsIs => gate.clone(),
+            GateView::Conj => gate.conj(),
+            GateView::Adjoint => gate.adjoint(),
+            GateView::Transpose => gate.transpose(),
+        };
+        let deposits: Vec<usize> = (0..g.rows())
+            .map(|y| deposit_sub_index(y, positions, *n))
+            .collect();
+        let acted = deposits[g.rows() - 1];
+        let mut out = vec![Complex::ZERO; v.len()];
+        for c in 0..width {
+            for i in 0..1usize << n {
+                let x = extract_sub_index(i, positions, *n);
+                let mut s = Complex::ZERO;
+                for (&e, &dep) in g.row(x).iter().zip(&deposits) {
+                    s += e * v[((i & !acted) | dep) * width + c];
+                }
+                out[i * width + c] = s;
+            }
+        }
+        out
+    }
+
+    // The left sweep — row panels for operands at least as wide as the
+    // gate, the per-column loop otherwise — gives the per-column
+    // reference's bits for every view, width and gate size, on every
+    // instruction-set instance and thread count.
+
+    #[test]
+    fn left_sweeps_match_the_per_column_reference_bitwise() {
+        let mut rng = TestRng::new(29);
+        for k in [1usize, 2, 3, 8] {
+            let dk = 1usize << k;
+            let n = if k == 8 { k } else { k + 2 };
+            let case = (
+                CMat::from_vec(dk, dk, rng.complexes(dk * dk)),
+                rng.positions(k, n),
+                n,
+            );
+            for width in [1usize, 2, 3, 5, 8, 16, 64] {
+                let v = rng.complexes(width << n);
+                for view in VIEWS {
+                    let want = per_column_reference(&case, view, &v, width);
+                    let what = format!("{:?} of {n}, width {width}, {view:?}", case.1);
+                    assert_every_instance_gives(&what, &want, |isa| {
+                        let plan = GatePlan {
+                            isa,
+                            ..GatePlan::new(&case.1, n)
+                        };
+                        let mut out = v.clone();
+                        sweep_left(&plan, &case.0, view, &mut out, width);
+                        out
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panels_over_non_finite_inputs_match_the_per_column_reference() {
+        let mut rng = TestRng::new(30);
+        let specials = [
+            0.0,
+            -0.0,
+            1e-310,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for k in [1usize, 2, 3] {
+            let dk = 1usize << k;
+            let n = k + 2;
+            let mut gate = CMat::from_vec(dk, dk, rng.complexes(dk * dk));
+            for (t, z) in gate.as_mut_slice().iter_mut().enumerate().step_by(5) {
+                z.re = specials[t % specials.len()];
+            }
+            let case = (gate, rng.positions(k, n), n);
+            let width = 9;
+            let mut v = rng.complexes(width << n);
+            for (t, z) in v.iter_mut().enumerate().step_by(7) {
+                z.im = specials[t % specials.len()];
+            }
+            for view in VIEWS {
+                let want = per_column_reference(&case, view, &v, width);
+                let what = format!("{:?} of {n}, {view:?}", case.1);
+                assert_every_instance_gives(&what, &want, |isa| {
+                    let plan = GatePlan {
+                        isa,
+                        ..GatePlan::new(&case.1, n)
+                    };
+                    let mut out = v.clone();
+                    sweep_left(&plan, &case.0, view, &mut out, width);
+                    out
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn plan_bases_are_the_rest_blocks_in_ascending_order() {
+        for (positions, n) in [(vec![0usize], 1usize), (vec![2, 0], 4), (vec![1, 3, 4], 5)] {
+            let plan = GatePlan::new(&positions, n);
+            let acted = deposit_sub_index((1 << positions.len()) - 1, &positions, n);
+            let want: Vec<usize> = (0..1usize << n).filter(|i| i & acted == 0).collect();
+            assert_eq!(plan.bases, want, "{positions:?} of {n}");
+        }
+        assert_eq!(GatePlan::new(&[], 0).bases, vec![0]);
     }
 
     /// The public sweeps run the host instance: bitwise the baseline.

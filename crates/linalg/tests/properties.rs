@@ -19,6 +19,93 @@ fn hermitian(dim: usize) -> impl Strategy<Value = CMat> {
     cmat(dim).prop_map(|g| g.add_mat(&g.adjoint()).scale_re(0.5))
 }
 
+/// Tolerance of the unitarity decisions below: the library's.
+const UNITARY_TOL: f64 = 1e-8;
+
+/// A square matrix at the edge of unitarity, built from a seed: a
+/// phased permutation (exact zeros off its support) mixed by a few
+/// rotations on row pairs, then optionally
+///
+/// * `nudge` 1–3: one entry moved by `0.25–4 · tol` on one component,
+///   or the whole matrix scaled by `1 ± tol`, so `A†A` lands near the
+///   tolerance boundary on either side;
+/// * `specials` ≥ 2: `specials − 1` entries with a component replaced by
+///   `±0`, NaN or `±∞` (a `±0` replaces both components).
+///
+/// Sizes include 37, past one row panel of the half-Gram check.
+fn near_unitary(size: usize, seed: u64, nudge: usize, specials: usize) -> CMat {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let d = [1usize, 2, 3, 8, 37][size];
+    let unit = |x: u64| (x >> 11) as f64 / (1u64 << 53) as f64;
+    let mut perm: Vec<usize> = (0..d).collect();
+    for i in (1..d).rev() {
+        perm.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    let mut u = CMat::zeros(d, d);
+    for (i, &p) in perm.iter().enumerate() {
+        let theta = unit(next()) * std::f64::consts::TAU;
+        u[(i, p)] = c(theta.cos(), theta.sin());
+    }
+    for _ in 0..d / 2 {
+        let (a, b) = ((next() % d as u64) as usize, (next() % d as u64) as usize);
+        if a == b {
+            continue;
+        }
+        let t = unit(next()) * std::f64::consts::TAU;
+        let (co, si) = (t.cos(), t.sin());
+        for j in 0..d {
+            let (x, y) = (u[(a, j)], u[(b, j)]);
+            u[(a, j)] = x.scale(co) - y.scale(si);
+            u[(b, j)] = x.scale(si) + y.scale(co);
+        }
+    }
+    let (i, j) = ((next() % d as u64) as usize, (next() % d as u64) as usize);
+    let delta = UNITARY_TOL * (0.25 + 3.75 * unit(next()));
+    match nudge {
+        1 => u[(i, j)].re += delta,
+        2 => u[(i, j)].im -= delta,
+        3 => u = u.scale_re(1.0 + UNITARY_TOL * (unit(next()) - 0.5)),
+        _ => {}
+    }
+    let values = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    for _ in 1..specials {
+        let (i, j) = ((next() % d as u64) as usize, (next() % d as u64) as usize);
+        let x = values[(next() % values.len() as u64) as usize];
+        let z = &mut u[(i, j)];
+        if x == 0.0 {
+            *z = c(x, x);
+        } else if next() % 2 == 0 {
+            z.re = x;
+        } else {
+            z.im = x;
+        }
+    }
+    u
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn unitarity_is_decided_as_the_full_gram_product_decides_it(
+        size in 0usize..5,
+        seed in 0u64..u64::MAX,
+        nudge in 0usize..4,
+        specials in 0usize..5,
+    ) {
+        let u = near_unitary(size, seed, nudge, specials);
+        let full = u.adjoint_mul(&u).is_identity(UNITARY_TOL);
+        prop_assert_eq!(u.is_unitary(UNITARY_TOL), full);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

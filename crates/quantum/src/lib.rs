@@ -35,7 +35,7 @@ mod register;
 mod state;
 mod superop;
 
-pub use library::{LibOp, LibraryError, OperatorLibrary, Unitary, RANK_DETECT_TOL};
+pub use library::{Digest, LibOp, LibraryError, OperatorLibrary, Unitary, RANK_DETECT_TOL};
 pub use measurement::{expectation, Measurement, MeasurementError};
 pub use register::{Register, RegisterError};
 pub use state::{assert_state, density, ensemble, ket, maximally_mixed, superpose};

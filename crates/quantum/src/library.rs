@@ -12,9 +12,12 @@ use nqpv_linalg::{
     conjugate_diagonal, conjugate_gate, detect_structure, is_predicate, CMat, CVec, Complex,
     Structure,
 };
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hasher;
 use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// Rank-detection tolerance of the predicate classification: a factored
 /// structure must reproduce the dense operator entry-wise within this
@@ -29,6 +32,43 @@ const PREDICATE_TOL: f64 = 1e-7;
 
 /// How close to `I` a unitary must be to double as the `true` predicate.
 const IDENTITY_TOL: f64 = 1e-12;
+
+/// A 128-bit digest of an operator's content — the dimensions and the
+/// exact bits of every entry of its matrices, `-0.0` read as `0.0` — for
+/// the memo keys of the backward pass. It is computed on first use and
+/// kept, never when the operator is bound, so a verify that keys nothing
+/// hashes no operator. Equal content gives equal digests, and (but for
+/// 128-bit collisions) different content different ones.
+#[derive(Debug, Clone, Default)]
+pub struct Digest(OnceLock<u128>);
+
+impl Digest {
+    /// The digest of `matrices`, in order, computing it on first use.
+    pub(crate) fn of(&self, matrices: &[&CMat]) -> u128 {
+        *self.0.get_or_init(|| {
+            let mut a = DefaultHasher::new();
+            let mut b = DefaultHasher::new();
+            a.write_u8(0xA5);
+            b.write_u8(0x5A);
+            for h in [&mut a, &mut b] {
+                for m in matrices {
+                    h.write_usize(m.rows());
+                    h.write_usize(m.cols());
+                    for z in m.as_slice() {
+                        h.write_u64((z.re + 0.0).to_bits());
+                        h.write_u64((z.im + 0.0).to_bits());
+                    }
+                }
+            }
+            ((a.finish() as u128) << 64) | b.finish() as u128
+        })
+    }
+
+    /// Whether the digest has been computed.
+    pub(crate) fn computed(&self) -> bool {
+        self.0.get().is_some()
+    }
+}
 
 /// A bound unitary: the matrix plus the structure it was classified with
 /// when it was bound. It dereferences to the matrix.
@@ -45,6 +85,7 @@ pub struct Unitary {
     matrix: CMat,
     diagonal: Option<Vec<Complex>>,
     truth: Option<Structure>,
+    digest: Digest,
 }
 
 impl Unitary {
@@ -59,12 +100,18 @@ impl Unitary {
             matrix,
             diagonal,
             truth,
+            digest: Digest::default(),
         }
     }
 
     /// The diagonal, when the matrix is exactly diagonal.
     pub fn diagonal(&self) -> Option<&[Complex]> {
         self.diagonal.as_deref()
+    }
+
+    /// The matrix's [`Digest`], computed on first use.
+    pub fn digest(&self) -> u128 {
+        self.digest.of(&[&self.matrix])
     }
 
     /// The Schrödinger-picture action `ρ ← U_S·ρ·U_S†` on the `positions`
@@ -98,11 +145,11 @@ pub enum LibOp {
     Unitary(Unitary),
     /// A two-outcome projective measurement (usable in `if`/`while`).
     Measurement(Measurement),
-    /// A hermitian operator with `0 ⊑ M ⊑ I` (usable in assertions), and
-    /// the [`Structure`] that `detect_structure(M, RANK_DETECT_TOL,
-    /// rows/2)` finds in it: resolving an assertion embeds that structure
-    /// with no re-detection.
-    Predicate(CMat, Structure),
+    /// A hermitian operator with `0 ⊑ M ⊑ I` (usable in assertions), the
+    /// [`Structure`] that `detect_structure(M, RANK_DETECT_TOL, rows/2)`
+    /// finds in it (resolving an assertion embeds that structure with no
+    /// re-detection), and its [`Digest`].
+    Predicate(CMat, Structure, Digest),
 }
 
 impl LibOp {
@@ -110,10 +157,19 @@ impl LibOp {
     pub fn n_qubits(&self) -> usize {
         let d = match self {
             LibOp::Unitary(u) => u.rows(),
-            LibOp::Predicate(m, _) => m.rows(),
+            LibOp::Predicate(m, ..) => m.rows(),
             LibOp::Measurement(m) => m.dim(),
         };
         d.trailing_zeros() as usize
+    }
+
+    /// Whether the entry's [`Digest`] has been computed.
+    pub fn digest_computed(&self) -> bool {
+        match self {
+            LibOp::Unitary(u) => u.digest.computed(),
+            LibOp::Measurement(m) => m.digest_computed(),
+            LibOp::Predicate(.., d) => d.computed(),
+        }
     }
 
     /// A short kind name for error messages.
@@ -282,7 +338,7 @@ impl OperatorLibrary {
             Kind::Unitary => LibOp::Unitary(Unitary::new(m)),
             Kind::Predicate => {
                 let structure = predicate_structure(&m);
-                LibOp::Predicate(m, structure)
+                LibOp::Predicate(m, structure, Digest::default())
             }
         };
         self.map.insert(name.to_string(), op);
@@ -410,7 +466,7 @@ impl OperatorLibrary {
     /// [`LibraryError::Unknown`] or [`LibraryError::WrongKind`].
     pub fn predicate_structure(&self, name: &str) -> Result<(&CMat, &Structure), LibraryError> {
         match self.get(name) {
-            Some(LibOp::Predicate(m, s)) => Ok((m, s)),
+            Some(LibOp::Predicate(m, s, _)) => Ok((m, s)),
             Some(LibOp::Unitary(Unitary {
                 matrix,
                 truth: Some(s),
@@ -422,6 +478,16 @@ impl OperatorLibrary {
                 found: other.kind(),
             }),
             None => Err(LibraryError::Unknown(name.to_string())),
+        }
+    }
+
+    /// The [`Digest`] of the predicate bound to `name`, computed on first
+    /// use, or `None` where [`OperatorLibrary::predicate_structure`] fails.
+    pub fn predicate_digest(&self, name: &str) -> Option<u128> {
+        match self.get(name)? {
+            LibOp::Predicate(m, _, d) => Some(d.of(&[m])),
+            LibOp::Unitary(u) if u.truth.is_some() => Some(u.digest()),
+            _ => None,
         }
     }
 

@@ -5,6 +5,7 @@
 //! operators) induce projective measurements through their spectral
 //! decomposition (Sec. 2).
 
+use crate::library::Digest;
 use nqpv_linalg::{cr, eigh, CMat, CVec, EighError};
 use std::fmt;
 
@@ -62,6 +63,7 @@ fn is_projector(p: &CMat, tol: f64) -> bool {
 pub struct Measurement {
     p0: CMat,
     p1: CMat,
+    digest: Digest,
 }
 
 impl Measurement {
@@ -85,16 +87,13 @@ impl Measurement {
         if !sum.approx_eq(&CMat::identity(p0.rows()), 1e-8) {
             return Err(MeasurementError::Incomplete);
         }
-        Ok(Measurement { p0, p1 })
+        Ok(Measurement::from_parts(p0, p1))
     }
 
     /// The computational-basis measurement `{|0⟩⟨0|, |1⟩⟨1|}` on one qubit
     /// (the paper's `M` / `M_{0,1}`).
     pub fn computational() -> Self {
-        Measurement {
-            p0: CVec::basis(2, 0).projector(),
-            p1: CVec::basis(2, 1).projector(),
-        }
+        Measurement::from_parts(CVec::basis(2, 0).projector(), CVec::basis(2, 1).projector())
     }
 
     /// The `{|+⟩⟨+|, |−⟩⟨−|}` measurement (the paper's `M±`).
@@ -102,10 +101,7 @@ impl Measurement {
         let s = std::f64::consts::FRAC_1_SQRT_2;
         let plus = CVec::new(vec![cr(s), cr(s)]);
         let minus = CVec::new(vec![cr(s), cr(-s)]);
-        Measurement {
-            p0: plus.projector(),
-            p1: minus.projector(),
-        }
+        Measurement::from_parts(plus.projector(), minus.projector())
     }
 
     /// The quantum-walk boundary measurement of Sec. 5.3:
@@ -113,7 +109,7 @@ impl Measurement {
     pub fn qwalk_boundary() -> Self {
         let p0 = CVec::basis(4, 0b10).projector();
         let p1 = CMat::identity(4).sub_mat(&p0);
-        Measurement { p0, p1 }
+        Measurement::from_parts(p0, p1)
     }
 
     /// Builds the two-outcome measurement induced by a projector `P`:
@@ -127,7 +123,7 @@ impl Measurement {
             return Err(MeasurementError::NotProjector("P0"));
         }
         let p1 = CMat::identity(p.rows()).sub_mat(&p);
-        Ok(Measurement { p0: p, p1 })
+        Ok(Measurement::from_parts(p, p1))
     }
 
     /// Builds a measurement from an observable by thresholding its spectrum:
@@ -151,7 +147,27 @@ impl Measurement {
                 p1 += &proj;
             }
         }
-        Ok(Measurement { p0, p1 })
+        Ok(Measurement::from_parts(p0, p1))
+    }
+
+    /// The measurement `{p0, p1}`, unchecked.
+    fn from_parts(p0: CMat, p1: CMat) -> Measurement {
+        Measurement {
+            p0,
+            p1,
+            digest: Digest::default(),
+        }
+    }
+
+    /// The [`Digest`](crate::Digest) of `P₀` and `P₁`, in that order,
+    /// computed on first use.
+    pub fn digest(&self) -> u128 {
+        self.digest.of(&[&self.p0, &self.p1])
+    }
+
+    /// Whether [`Measurement::digest`] has been computed.
+    pub(crate) fn digest_computed(&self) -> bool {
+        self.digest.computed()
     }
 
     /// Projector for outcome 0.

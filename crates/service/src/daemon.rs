@@ -625,10 +625,17 @@ impl Daemon {
 /// Same as [`Daemon::start`].
 pub fn serve_blocking(opts: ServeOptions) -> std::io::Result<()> {
     let daemon = Daemon::start(opts)?;
-    println!("nqpv-service listening on {}", daemon.local_addr());
+    // A reader that has gone only misses the banner; the daemon serves on.
+    let mut stdout = std::io::stdout().lock();
+    let _ = writeln!(stdout, "nqpv-service listening on {}", daemon.local_addr());
     if let Some(addr) = daemon.metrics_addr() {
-        println!("nqpv-service metrics on http://{addr}/metrics (also /healthz)");
+        let _ = writeln!(
+            stdout,
+            "nqpv-service metrics on http://{addr}/metrics (also /healthz)"
+        );
     }
+    let _ = stdout.flush();
+    drop(stdout);
     daemon.wait();
     Ok(())
 }

@@ -414,6 +414,35 @@ fn cli_usage_and_exit_codes() {
 }
 
 #[test]
+fn cli_output_to_a_closed_pipe_stops_quietly() {
+    // A reader that closes its end before the CLI writes (`nqpv ops |
+    // head -0`) must not panic the CLI: it stops writing and exits with
+    // the code the command has when its output is read.
+    let Some(bin) = nqpv_bin() else { return };
+    for args in [
+        vec!["show", "examples/nqpv_files/qwalk.nqpv", "VAR0"],
+        vec!["ops"],
+        vec!["verify", "examples/corpus/rejected.nqpv"],
+        vec!["explain", "examples/corpus/rejected.nqpv"],
+        vec!["batch", "--jobs", "1", "examples/corpus"],
+    ] {
+        let read = run_nqpv(&args).expect("binary available");
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = std::process::Command::new(&bin)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .args(&args)
+            .stdout(writer)
+            .stderr(std::process::Stdio::piped())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "nqpv {args:?}: {stderr}");
+        assert_eq!(out.status.code(), read.status.code(), "nqpv {args:?}");
+    }
+}
+
+#[test]
 fn cli_verify_refuses_registers_too_wide_to_index() {
     // `{ P1[q_last] } [q0] *= X; { P0[q_last] }` is false and its mirror
     // with P0 is true. On 65 qubits, 2^65 wraps a machine word and q0
@@ -534,6 +563,35 @@ fn cli_batch_verifies_the_corpus_in_parallel() {
     // Corpus-level failures are usage-style errors: exit 2.
     let nodir = run_nqpv(&["batch", "examples/no_such_dir"]).unwrap();
     assert_eq!(nodir.status.code(), Some(2));
+}
+
+#[test]
+fn cli_batch_cache_tiers_count_as_recorded() {
+    // Transformer and verdict tier hits, misses and entries of a
+    // sequential batch over the shipped corpus. Memo keys are built from
+    // per-statement digests and separate exactly the subterms that
+    // hashing every subtree in full at each key separated, so these are
+    // the counts recorded with those keys.
+    let keys = [
+        "hits",
+        "misses",
+        "entries",
+        "verdict_hits",
+        "verdict_misses",
+        "verdict_entries",
+    ];
+    for (target, counts) in [
+        ("examples/corpus", [0, 16, 1, 2, 6, 6]),
+        ("examples/corpus/manifest.txt", [0, 15, 1, 2, 4, 4]),
+    ] {
+        let Some(out) = run_nqpv(&["batch", target, "--jobs", "1", "--json"]) else {
+            return;
+        };
+        let json = String::from_utf8_lossy(&out.stdout);
+        for (key, want) in keys.into_iter().zip(counts) {
+            assert_eq!(json_counter(&json, key), Some(want), "{target}: {key}");
+        }
+    }
 }
 
 /// The verdict-bearing fields (`name`, `status`, `error`, `proofs`) of
