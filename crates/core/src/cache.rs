@@ -35,14 +35,17 @@
 //! by loop id, which are not part of the cache key.
 
 use crate::transformer::Annotated;
+use nqpv_quantum::KeyHasher;
 use nqpv_solver::{LownerOptions, Verdict, Violation};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::Hasher;
 
 /// Content hash identifying a `(subterm, postcondition, context)` triple.
 ///
-/// 128 bits assembled from two independently seeded 64-bit hashers, so
-/// accidental collisions across a corpus run are negligible.
+/// The 128 bits of a [`KeyHasher`], the hasher operator
+/// [`Digest`](nqpv_quantum::Digest)s use too: one 64-bit half from each
+/// of its two independently keyed lanes, so accidental collisions across
+/// a corpus run are negligible. The low bits are mixed as well as the high
+/// ones: the engine's doorkeeper indexes its slots by them, and its disk
+/// cache shards by the top byte.
 pub type CacheKey = u128;
 
 /// A memo store for annotated backward-pass results.
@@ -104,11 +107,11 @@ pub fn verdict_key(
     h.write_str(&format!("{opts:?}"));
     h.write_usize(theta.len());
     for m in theta.ops() {
-        h.write_predicate_canonical(m);
+        write_predicate_canonical(&mut h, m);
     }
     h.write_usize(psi.len());
     for m in psi.ops() {
-        h.write_predicate_canonical(m);
+        write_predicate_canonical(&mut h, m);
     }
     h.finish()
 }
@@ -126,7 +129,7 @@ pub const VERDICT_KEY_QUANT: f64 = 1e9;
 /// (the engine's disk cache) record this alongside their own layout
 /// version: keys computed under a different schema address different
 /// content and must not be mixed.
-pub const VERDICT_KEY_SCHEMA: u32 = 2;
+pub const VERDICT_KEY_SCHEMA: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // Serialisable verdict records
@@ -253,131 +256,71 @@ pub fn decode_verdict(bytes: &[u8]) -> Option<Verdict> {
     (pos == body.len()).then_some(verdict)
 }
 
-/// Double-width streaming hasher used to build [`CacheKey`]s.
-///
-/// Feeds every byte into two `DefaultHasher`s initialised with different
-/// prefixes; `finish` concatenates their outputs. Deterministic within a
-/// process, which is all an in-memory memo cache needs.
-pub(crate) struct KeyHasher {
-    a: DefaultHasher,
-    b: DefaultHasher,
+/// Quantised hash of a complex matrix: each component is rounded to a
+/// multiple of `1/scale` before hashing, so values within rounding noise
+/// of each other (but not near a rounding boundary) hash together. Used
+/// for canonical-factor keys, where entries are reproducible across
+/// representations only up to numerical noise.
+fn write_matrix_quantised(h: &mut KeyHasher, m: &nqpv_linalg::CMat, scale: f64) {
+    h.write_usize(m.rows());
+    h.write_usize(m.cols());
+    for z in m.as_slice() {
+        // Round-half-away matches the fingerprint quantiser elsewhere in
+        // the stack; `write_f64` canonicalises `-0.0`.
+        h.write_f64((z.re * scale).round());
+        h.write_f64((z.im * scale).round());
+    }
 }
 
-impl KeyHasher {
-    pub(crate) fn new() -> Self {
-        let mut a = DefaultHasher::new();
-        let mut b = DefaultHasher::new();
-        a.write_u8(0xA5);
-        b.write_u8(0x5A);
-        KeyHasher { a, b }
+/// Exact-bits hash of a real diagonal under the diagonal tag, length
+/// included: the key of a diagonal predicate in both cache tiers.
+fn write_diagonal(h: &mut KeyHasher, d: &[f64]) {
+    h.write_u8(0xDA);
+    h.write_usize(d.len());
+    for &x in d {
+        h.write_f64(x);
     }
+}
 
-    pub(crate) fn write_u8(&mut self, v: u8) {
-        self.a.write_u8(v);
-        self.b.write_u8(v);
-    }
-
-    pub(crate) fn write_u64(&mut self, v: u64) {
-        self.a.write_u64(v);
-        self.b.write_u64(v);
-    }
-
-    pub(crate) fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    pub(crate) fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.a.write(s.as_bytes());
-        self.b.write(s.as_bytes());
-    }
-
-    /// Exact-bits hash of a float (canonicalising `-0.0` to `0.0`).
-    pub(crate) fn write_f64(&mut self, x: f64) {
-        self.write_u64((x + 0.0).to_bits());
-    }
-
-    /// Exact-bits hash of a complex matrix, dimensions included.
-    pub(crate) fn write_matrix(&mut self, m: &nqpv_linalg::CMat) {
-        self.write_usize(m.rows());
-        self.write_usize(m.cols());
-        for z in m.as_slice() {
-            self.write_f64(z.re);
-            self.write_f64(z.im);
+/// Exact-bits hash of a predicate: dense matrices, factored forms and
+/// diagonals hash their own representation (under distinct tags), so no
+/// dense materialisation happens on the key path. Different factorings
+/// of the same operator hash apart — that only costs cache hits, never
+/// correctness, and the pipeline is deterministic so byte-identical jobs
+/// reproduce byte-identical factors. The **transformer tier** uses this
+/// exact form; the verdict tier canonicalises factors instead (see
+/// [`write_predicate_canonical`]).
+pub(crate) fn write_predicate(h: &mut KeyHasher, p: &crate::assertion::Predicate) {
+    match p {
+        crate::assertion::Predicate::Dense(m) => {
+            h.write_u8(0xD0);
+            h.write_matrix(m);
         }
-    }
-
-    /// Quantised hash of a complex matrix: each component is rounded to a
-    /// multiple of `1/scale` before hashing, so values within rounding
-    /// noise of each other (but not near a rounding boundary) hash
-    /// together. Used for canonical-factor keys, where entries are
-    /// reproducible across representations only up to numerical noise.
-    pub(crate) fn write_matrix_quantised(&mut self, m: &nqpv_linalg::CMat, scale: f64) {
-        self.write_usize(m.rows());
-        self.write_usize(m.cols());
-        for z in m.as_slice() {
-            // `+ 0.0` canonicalises `-0.0`; round-half-away matches the
-            // fingerprint quantiser elsewhere in the stack.
-            self.write_u64(((z.re * scale).round() + 0.0).to_bits());
-            self.write_u64(((z.im * scale).round() + 0.0).to_bits());
+        crate::assertion::Predicate::Factored(f) => {
+            h.write_u8(0xF0);
+            h.write_matrix(f.v());
         }
+        crate::assertion::Predicate::Diagonal(d) => write_diagonal(h, d.diag()),
     }
+}
 
-    /// Exact-bits hash of a real diagonal under the diagonal tag, length
-    /// included: the key of a diagonal predicate in both cache tiers.
-    fn write_diagonal(&mut self, d: &[f64]) {
-        self.write_u8(0xDA);
-        self.write_usize(d.len());
-        for &x in d {
-            self.write_f64(x);
+/// Representation-independent hash of a predicate for **verdict** keys:
+/// dense matrices hash exact bits as before; factored ones hash the
+/// quantised canonical (eigenbasis-phase-fixed) factor, so any factoring
+/// of the same operator lands on the same key — the property that makes
+/// the on-disk verdict cache shareable across corpora, machines and
+/// transform orders.
+fn write_predicate_canonical(h: &mut KeyHasher, p: &crate::assertion::Predicate) {
+    match p {
+        crate::assertion::Predicate::Dense(m) => {
+            h.write_u8(0xD0);
+            h.write_matrix(m);
         }
-    }
-
-    /// Exact-bits hash of a predicate: dense matrices, factored forms and
-    /// diagonals hash their own representation (under distinct tags), so
-    /// no dense materialisation happens on the key path. Different
-    /// factorings of the same operator hash apart — that only costs cache
-    /// hits, never correctness, and the pipeline is deterministic so
-    /// byte-identical jobs reproduce byte-identical factors. The
-    /// **transformer tier** uses this exact form; the verdict tier
-    /// canonicalises factors instead (see
-    /// [`KeyHasher::write_predicate_canonical`]).
-    pub(crate) fn write_predicate(&mut self, p: &crate::assertion::Predicate) {
-        match p {
-            crate::assertion::Predicate::Dense(m) => {
-                self.write_u8(0xD0);
-                self.write_matrix(m);
-            }
-            crate::assertion::Predicate::Factored(f) => {
-                self.write_u8(0xF0);
-                self.write_matrix(f.v());
-            }
-            crate::assertion::Predicate::Diagonal(d) => self.write_diagonal(d.diag()),
+        crate::assertion::Predicate::Factored(f) => {
+            h.write_u8(0xF1);
+            write_matrix_quantised(h, f.canonical(), VERDICT_KEY_QUANT);
         }
-    }
-
-    /// Representation-independent hash of a predicate for **verdict**
-    /// keys: dense matrices hash exact bits as before; factored ones hash
-    /// the quantised canonical (eigenbasis-phase-fixed) factor, so any
-    /// factoring of the same operator lands on the same key — the
-    /// property that makes the on-disk verdict cache shareable across
-    /// corpora, machines and transform orders.
-    pub(crate) fn write_predicate_canonical(&mut self, p: &crate::assertion::Predicate) {
-        match p {
-            crate::assertion::Predicate::Dense(m) => {
-                self.write_u8(0xD0);
-                self.write_matrix(m);
-            }
-            crate::assertion::Predicate::Factored(f) => {
-                self.write_u8(0xF1);
-                self.write_matrix_quantised(f.canonical(), VERDICT_KEY_QUANT);
-            }
-            crate::assertion::Predicate::Diagonal(d) => self.write_diagonal(d.diag()),
-        }
-    }
-
-    pub(crate) fn finish(&self) -> CacheKey {
-        ((self.a.finish() as u128) << 64) | self.b.finish() as u128
+        crate::assertion::Predicate::Diagonal(d) => write_diagonal(h, d.diag()),
     }
 }
 
@@ -396,6 +339,26 @@ mod tests {
         let mut h3 = KeyHasher::new();
         h3.write_str("abd");
         assert_ne!(h1.finish(), h3.finish());
+    }
+
+    /// Known answers. Verdict keys are kept on disk under
+    /// [`VERDICT_KEY_SCHEMA`]: a change to either value below changes
+    /// keys already stored, so it must come with a schema bump.
+    #[test]
+    fn keys_match_their_known_answers() {
+        use crate::assertion::{Assertion, Predicate};
+        let mut h = KeyHasher::new();
+        h.write_u8(0x1F);
+        h.write_str("nqpv key");
+        h.write_f64(-0.0);
+        h.write_matrix(&CMat::from_real(1, 2, &[0.5, -1.0]));
+        h.write_key(u128::MAX);
+        assert_eq!(h.finish(), 0x95f7_87c8_f82a_7bc4_8dc2_ee90_a805_ce23);
+        let p0 = CMat::from_real(2, 1, &[1.0, 0.0]);
+        let theta = Assertion::from_predicates(2, vec![Predicate::from_factor(p0)]).unwrap();
+        let psi = Assertion::identity(2);
+        let key = verdict_key(VERDICT_TAG_INF, &theta, &psi, &LownerOptions::default());
+        assert_eq!(key, 0x556a_26f5_6ac8_9e0c_a724_68ea_fff0_6dd0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use nqpv_quantum::OperatorLibrary;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors produced while executing a source file.
 #[derive(Debug)]
@@ -143,9 +143,18 @@ impl Default for Session {
 impl Session {
     /// A fresh session with the built-in operator library and default
     /// options.
+    ///
+    /// Every session starts on one process-wide builtin library, built
+    /// (and its operators' [`Digest`](nqpv_quantum::Digest)s computed)
+    /// once per process. A session that rebinds a name, through
+    /// [`Session::library_mut`] or a `load`, changes a copy of its own:
+    /// other sessions and the proofs already verified keep the builtins.
     pub fn new() -> Self {
+        static BUILTINS: OnceLock<Arc<OperatorLibrary>> = OnceLock::new();
         Session {
-            lib: Arc::new(OperatorLibrary::with_builtins()),
+            lib: BUILTINS
+                .get_or_init(|| Arc::new(OperatorLibrary::with_builtins()))
+                .clone(),
             registry: PredicateRegistry::new(),
             outlines: HashMap::new(),
             records: Vec::new(),
@@ -406,6 +415,53 @@ mod tests {
             .unwrap();
         assert!(!s.outcome("pf").unwrap().status.verified());
         assert!(s.output()[0].contains("Order relation not satisfied"));
+    }
+
+    #[test]
+    fn fresh_sessions_share_one_builtin_library() {
+        let (a, b) = (Session::new(), Session::new());
+        assert!(Arc::ptr_eq(&a.lib, &b.lib));
+        assert!(a.lib.unitary("X").is_ok());
+    }
+
+    #[test]
+    fn rebinding_a_builtin_stays_in_its_session() {
+        // Verified with the builtin X, rejected with Z bound to `X`.
+        const PF: &str = "def pf := proof [q] : { P1[q] }; [q] *= X; { P0[q] } end";
+        let x = nqpv_quantum::gates::x();
+        let z = nqpv_quantum::gates::z();
+        let dir = std::env::temp_dir().join("nqpv_session_rebind_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        nqpv_linalg::write_matrix(dir.join("z.npy"), &z).unwrap();
+        for how in ["library_mut", "load"] {
+            let mut s = Session::new().with_base_dir(&dir);
+            s.run_str(PF).unwrap();
+            match how {
+                "library_mut" => s.library_mut().insert_unitary("X", z.clone()).unwrap(),
+                _ => s.run_str("def X := load \"z.npy\" end").unwrap(),
+            }
+            s.run_str(PF).unwrap();
+            assert_eq!(
+                s.proof_verdicts(),
+                [("pf".to_string(), true), ("pf".to_string(), false)],
+                "{how}"
+            );
+            let records = s.proof_records();
+            assert!(
+                records[0].lib.unitary("X").unwrap().approx_eq(&x, 0.0),
+                "{how}"
+            );
+            assert!(
+                records[1].lib.unitary("X").unwrap().approx_eq(&z, 0.0),
+                "{how}"
+            );
+            // A later session starts on the builtin again.
+            let mut later = Session::new();
+            assert!(!Arc::ptr_eq(&s.lib, &later.lib), "{how}");
+            assert!(later.lib.unitary("X").unwrap().approx_eq(&x, 0.0), "{how}");
+            later.run_str(PF).unwrap();
+            assert!(later.outcome("pf").unwrap().status.verified(), "{how}");
+        }
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! require a [`RankingCertificate`] discharging Definition 4.3.
 
 use crate::assertion::Assertion;
-use crate::cache::{CacheKey, KeyHasher, TransformerCache};
+use crate::cache::{write_predicate, CacheKey, TransformerCache};
 use crate::error::VerifError;
 pub use crate::ranking::RankingCertificate;
 use nqpv_lang::{AssertionExpr, Stmt};
 use nqpv_linalg::{embed, CMat};
-use nqpv_quantum::{OperatorLibrary, Register};
+use nqpv_quantum::{KeyHasher, OperatorLibrary, Register};
 use nqpv_solver::{LownerOptions, Verdict};
 use nqpv_telemetry::{ArgValue, Deadline, Phase, Tracer};
 use std::collections::HashMap;
@@ -206,7 +206,12 @@ pub fn backward_with_cache(
         rankings,
         next_loop_id: 0,
         cache,
-        ctx_key: context_key(reg, opts),
+        // Without a cache no key is taken, so nothing is hashed.
+        ctx_key: if cache.is_some() {
+            context_key(reg, opts)
+        } else {
+            0
+        },
         path: Vec::new(),
     };
     let tagged = ctx.tag(stmt);
@@ -293,12 +298,6 @@ impl TStmt {
             _ => None,
         }
     }
-}
-
-/// Feeds a 128-bit key or digest into `h`.
-fn write_key(h: &mut KeyHasher, key: CacheKey) {
-    h.write_u64((key >> 64) as u64);
-    h.write_u64(key as u64);
 }
 
 struct Ctx<'a> {
@@ -435,12 +434,12 @@ impl Ctx<'_> {
     /// difference separates them.
     fn subterm_key(&self, stmt: &TStmt, post: &Assertion) -> CacheKey {
         let mut h = KeyHasher::new();
-        write_key(&mut h, self.ctx_key);
-        write_key(&mut h, stmt.digest().unwrap_or_default());
+        h.write_key(self.ctx_key);
+        h.write_key(stmt.digest().unwrap_or_default());
         h.write_usize(post.dim());
         h.write_usize(post.len());
         for m in post.ops() {
-            h.write_predicate(m);
+            write_predicate(&mut h, m);
         }
         h.finish()
     }
@@ -572,12 +571,12 @@ impl Ctx<'_> {
                 }
                 h.write_str(op);
                 if let Ok(u) = self.lib.unitary(op) {
-                    write_key(h, u.digest());
+                    h.write_key(u.digest());
                 }
             }
             composite => {
                 h.write_u8(9);
-                write_key(h, composite.digest().unwrap_or_default());
+                h.write_key(composite.digest().unwrap_or_default());
             }
         }
     }
@@ -591,7 +590,7 @@ impl Ctx<'_> {
                 h.write_str(q);
             }
             if let Some(d) = self.lib.predicate_digest(&term.op) {
-                write_key(h, d);
+                h.write_key(d);
             }
         }
     }
@@ -603,7 +602,7 @@ impl Ctx<'_> {
             h.write_str(q);
         }
         if let Ok(m) = self.lib.measurement(meas) {
-            write_key(h, m.digest());
+            h.write_key(m.digest());
         }
     }
 
@@ -689,16 +688,18 @@ impl Ctx<'_> {
                 })
             }
             TStmt::Seq(items, _) => {
+                // Each child is pushed through its successor's `pre` in
+                // place; only the Seq's own `pre` is a copy.
                 let mut annotated_rev: Vec<Annotated> = Vec::with_capacity(items.len());
-                let mut current = post.clone();
                 for (idx, item) in items.iter().enumerate().rev() {
-                    let ann = self.go_child(idx, item, &current)?;
-                    current = ann.pre.clone();
+                    let current = annotated_rev.last().map_or(post, |a| &a.pre);
+                    let ann = self.go_child(idx, item, current)?;
                     annotated_rev.push(ann);
                 }
+                let pre = annotated_rev.last().map_or(post, |a| &a.pre).clone();
                 annotated_rev.reverse();
                 Ok(Annotated {
-                    pre: current,
+                    pre,
                     node: AnnotatedNode::Seq(annotated_rev),
                 })
             }

@@ -720,6 +720,40 @@ mod tests {
     }
 
     #[test]
+    fn a_job_rebinding_a_builtin_leaves_later_jobs_on_the_builtin() {
+        // Every session starts on one shared builtin library. A job that
+        // loads `Z` over `X` rejects this proof, and the jobs around it,
+        // which use the builtin `X`, verify it.
+        let dir = std::env::temp_dir().join("nqpv_engine_rebind_builtin");
+        std::fs::create_dir_all(&dir).unwrap();
+        let z = dir.join("z.npy");
+        nqpv_linalg::write_matrix(&z, &nqpv_quantum::gates::z()).unwrap();
+        const PROOF: &str = "def pf := proof [q] : { P1[q] }; [q] *= X; [q] *= H; [q] *= H; \
+                             { P0[q] } end";
+        let rebind = format!("def X := load \"{}\" end {PROOF}", z.display());
+        let corpus = Corpus::from_sources(vec![
+            ("before", PROOF.to_string()),
+            ("rebind", rebind),
+            ("after", PROOF.to_string()),
+        ]);
+        for use_cache in [true, false] {
+            let report = run_batch(
+                &corpus,
+                &BatchOptions {
+                    jobs: 1,
+                    use_cache,
+                    ..BatchOptions::default()
+                },
+            );
+            let status = |i: usize| &report.jobs[i].status;
+            let summary = report.human_summary();
+            assert!(matches!(status(0), JobStatus::Verified { .. }), "{summary}");
+            assert!(matches!(status(1), JobStatus::Rejected { .. }), "{summary}");
+            assert_eq!(status(2), status(0));
+        }
+    }
+
+    #[test]
     fn worker_counts_agree_on_every_verdict() {
         let seq = run_batch(
             &corpus(),

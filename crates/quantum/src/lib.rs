@@ -29,12 +29,14 @@
 
 pub mod channels;
 pub mod gates;
+mod hash;
 mod library;
 mod measurement;
 mod register;
 mod state;
 mod superop;
 
+pub use hash::KeyHasher;
 pub use library::{Digest, LibOp, LibraryError, OperatorLibrary, Unitary, RANK_DETECT_TOL};
 pub use measurement::{expectation, Measurement, MeasurementError};
 pub use register::{Register, RegisterError};

@@ -7,15 +7,14 @@
 //! (paper Sec. 6.1) — [`OperatorLibrary::with_builtins`] provides them.
 
 use crate::gates;
+use crate::hash::KeyHasher;
 use crate::measurement::Measurement;
 use nqpv_linalg::{
     conjugate_diagonal, conjugate_gate, detect_structure, is_predicate, CMat, CVec, Complex,
     Structure,
 };
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hasher;
 use std::ops::Deref;
 use std::sync::OnceLock;
 
@@ -33,12 +32,13 @@ const PREDICATE_TOL: f64 = 1e-7;
 /// How close to `I` a unitary must be to double as the `true` predicate.
 const IDENTITY_TOL: f64 = 1e-12;
 
-/// A 128-bit digest of an operator's content — the dimensions and the
-/// exact bits of every entry of its matrices, `-0.0` read as `0.0` — for
-/// the memo keys of the backward pass. It is computed on first use and
-/// kept, never when the operator is bound, so a verify that keys nothing
-/// hashes no operator. Equal content gives equal digests, and (but for
-/// 128-bit collisions) different content different ones.
+/// A 128-bit digest of an operator's content — the [`KeyHasher`] key of
+/// the dimensions and the exact bits of every entry of its matrices,
+/// `-0.0` read as `0.0` — for the memo keys of the backward pass. It is
+/// computed on first use and kept, never when the operator is bound, so
+/// a verify that keys nothing hashes no operator. Equal content gives
+/// equal digests, and (but for 128-bit collisions) different content
+/// different ones.
 #[derive(Debug, Clone, Default)]
 pub struct Digest(OnceLock<u128>);
 
@@ -46,21 +46,11 @@ impl Digest {
     /// The digest of `matrices`, in order, computing it on first use.
     pub(crate) fn of(&self, matrices: &[&CMat]) -> u128 {
         *self.0.get_or_init(|| {
-            let mut a = DefaultHasher::new();
-            let mut b = DefaultHasher::new();
-            a.write_u8(0xA5);
-            b.write_u8(0x5A);
-            for h in [&mut a, &mut b] {
-                for m in matrices {
-                    h.write_usize(m.rows());
-                    h.write_usize(m.cols());
-                    for z in m.as_slice() {
-                        h.write_u64((z.re + 0.0).to_bits());
-                        h.write_u64((z.im + 0.0).to_bits());
-                    }
-                }
+            let mut h = KeyHasher::new();
+            for m in matrices {
+                h.write_matrix(m);
             }
-            ((a.finish() as u128) << 64) | b.finish() as u128
+            h.finish()
         })
     }
 
